@@ -169,11 +169,10 @@ void BM_WireReadScaling(benchmark::State& state) {
   auto snapshot = stats_client.stats();
   GEMS_CHECK(snapshot.is_ok());
   // Cumulative over the shared bench database, but the peak still shows
-  // whether shared holders genuinely overlapped.
-  state.counters["peak_shared"] =
-      static_cast<double>(snapshot->access.peak_concurrent_shared);
-  state.counters["shared_acq"] =
-      static_cast<double>(snapshot->access.shared_acquired);
+  // whether read scripts genuinely overlapped: each pins an epoch for its
+  // whole execution.
+  state.counters["peak_pinned_readers"] =
+      static_cast<double>(snapshot->epoch.peak_pinned_readers);
   server.stop();
 }
 BENCHMARK(BM_WireReadScaling)

@@ -42,7 +42,7 @@
 //   \checkpoint       snapshot the database and rotate the WAL (durable)
 //   \storestats       durability metrics: WAL latency, snapshot sizes
 //   \matchstats       matcher metrics: passes, traversals, parallel tasks
-//   \accessstats      shared/exclusive access counters (read concurrency)
+//   \accessstats      writer-lock counters plus the epoch block
 //   \epochstats       mvcc epoch lifecycle: publishes, pins, delta ingests
 //   \clusterstats     per-rank BSP traffic counters (cluster attached)
 //   \shutdown         ask the remote server to shut down (remote mode)

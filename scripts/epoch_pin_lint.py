@@ -14,11 +14,11 @@ see (the pin is not a capability):
      Pins must be locals: taken, used, released.
 
   2. **Blocking acquisitions while pinned** — taking a lock
-     (sync::MutexLock, ExclusiveAccessLock, SharedAccessLock, bare
-     .lock()) while a live pin is in scope inverts the documented order
-     "locks before pins". The exclusive path publishes epochs and may
-     wait on readers; a reader that pins and *then* blocks on a lock held
-     by that path deadlocks the retire/drain protocol.
+     (sync::MutexLock, ExclusiveAccessLock, bare .lock()) while a live
+     pin is in scope inverts the documented order "locks before pins".
+     The exclusive path publishes epochs and may wait on readers; a
+     reader that pins and *then* blocks on a lock held by that path
+     deadlocks the retire/drain protocol.
 
 The checkpoint capture pattern — acquire exclusive access first, pin
 *inside* the critical section, let the guard go while the pin stays
@@ -53,8 +53,7 @@ ALLOW_LOOKBACK = 3  # lines above a finding that an allow comment covers
 ACQUIRE_RE = re.compile(
     r"\b(?:sync::)?MutexLock\s+\w+\s*[({]"
     r"|\bExclusiveAccessLock\s+\w+\s*[({]"
-    r"|\bSharedAccessLock\s+\w+\s*[({]"
-    r"|[\w\)\]]\s*(?:\.|->)lock(?:_shared)?\s*\(\s*\)"
+    r"|[\w\)\]]\s*(?:\.|->)lock\s*\(\s*\)"
 )
 
 # `mvcc::EpochPin name ...` declarations (not function declarations —
@@ -332,6 +331,21 @@ _SELF_TEST_CASES = [
             use(pin.ctx());
           }
           sync::MutexLock lock(mu_);
+        }
+        """,
+        None,
+    ),
+    (
+        "read-script-fold-ok",
+        """
+        Result<R> run_parsed() {
+          {
+            const mvcc::EpochPin pin = epochs_.pin();
+            ExecContext local = pin.ctx();
+            run(local);
+          }
+          const ExclusiveAccessLock commit(access_);
+          return fold();
         }
         """,
         None,

@@ -17,8 +17,8 @@ namespace gems::cluster {
 namespace {
 
 /// True when any vertex step of the query seeds from a previous result
-/// (Fig. 12). Seeded queries stay on the front-end: the seed may live in
-/// a script-local overlay that rank replicas never see.
+/// (Fig. 12). Seeded queries stay on the front-end: the seed may be a
+/// result staged earlier in the same script, which rank replicas lack.
 bool element_has_seed(const graql::PathElement& el);
 
 bool group_has_seed(const graql::PathGroup& g) {
@@ -134,9 +134,10 @@ Result<exec::MatchResult> Coordinator::match_distributed(
   // One collective job at a time on the wire.
   sync::MutexLock jobs_lock(jobs_mutex_);
 
-  // `ctx` is the state the query executes against — a pinned epoch's
-  // immutable snapshot on the read path (safe to encode with no lock), or
-  // the live context under exclusive access on the writer path. Syncing
+  // `ctx` is the state the query executes against — on the read path a
+  // script-local copy of a pinned epoch's context (private to the script,
+  // safe to encode with no lock), or the live context under exclusive
+  // access on the writer path. Syncing
   // ranks from it keeps distributed and local results consistent.
   refresh_state(ctx);
 

@@ -29,6 +29,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <mutex>
+#include <thread>
 
 // ---- Thread Safety Analysis attribute macros ------------------------------
 //
@@ -197,6 +198,27 @@ class CondVar {
 
  private:
   std::condition_variable cv_;
+};
+
+/// The thread the caller runs on behalf of: its own id, unless it is
+/// inside a ScopedActingThread. Runtime ownership checks that must also
+/// accept a lock holder's helper tasks (AccessGuard::assert_exclusive_held)
+/// compare against this rather than std::this_thread::get_id().
+std::thread::id acting_thread_id() noexcept;
+
+/// Marks the calling thread as running on behalf of `principal` for the
+/// scope. Only for pool tasks whose submitter blocks until they finish:
+/// the submitter's locks then stay held for the task's whole lifetime.
+class ScopedActingThread {
+ public:
+  explicit ScopedActingThread(std::thread::id principal) noexcept;
+  ~ScopedActingThread();
+
+  ScopedActingThread(const ScopedActingThread&) = delete;
+  ScopedActingThread& operator=(const ScopedActingThread&) = delete;
+
+ private:
+  std::thread::id previous_;
 };
 
 }  // namespace gems::sync

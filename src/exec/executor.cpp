@@ -407,34 +407,13 @@ Result<TablePtr> collect_table(const GraphQueryStmt& stmt,
   return out;
 }
 
-/// Resolves the `from table` / `output` source: the script-local overlay
-/// shadows the shared catalog (shared-path scripts see their own staged
-/// `into` results, exactly as a serial script would).
-Result<TablePtr> find_source_table(const ExecContext& ctx,
-                                   const CatalogOverlay* overlay,
-                                   const std::string& name) {
-  if (overlay != nullptr) {
-    auto it = overlay->tables.find(name);
-    if (it != overlay->tables.end()) return it->second;
-  }
-  return ctx.tables.find(name);
-}
-
-/// Shared body of execute_graph_query / execute_statement_read: runs the
-/// query against an immutable context with explicit params and returns
-/// the result *without* registering `into` objects anywhere — the caller
-/// decides between the shared catalog (exclusive path) and a script-local
-/// overlay (shared path).
+/// Body of execute_graph_query: runs the query against the context and
+/// returns the result *without* registering its `into` object — the
+/// caller commits it now or, in a parallel scheduler level, afterwards.
 Result<StatementResult> graph_query_core(const GraphQueryStmt& stmt,
-                                         const ExecContext& ctx,
-                                         const relational::ParamMap& params,
-                                         const CatalogOverlay* overlay) {
+                                         const ExecContext& ctx) {
   SubgraphResolver resolver =
-      [&ctx, overlay](const std::string& name) -> Result<SubgraphPtr> {
-    if (overlay != nullptr) {
-      auto staged = overlay->subgraphs.find(name);
-      if (staged != overlay->subgraphs.end()) return staged->second;
-    }
+      [&ctx](const std::string& name) -> Result<SubgraphPtr> {
     auto it = ctx.subgraphs.find(name);
     if (it == ctx.subgraphs.end()) {
       return not_found("unknown result subgraph '" + name + "'");
@@ -443,7 +422,7 @@ Result<StatementResult> graph_query_core(const GraphQueryStmt& stmt,
   };
   GEMS_ASSIGN_OR_RETURN(
       LoweredQuery lowered,
-      lower_graph_query(stmt, ctx.graph, resolver, params, *ctx.pool));
+      lower_graph_query(stmt, ctx.graph, resolver, ctx.params, *ctx.pool));
   // Lowering has no ExecContext access, so the batch policy is stamped
   // onto each network here (matcher domain scans consult it).
   for (auto& net : lowered.networks) net.batch_policy = ctx.batch_policy;
@@ -462,7 +441,7 @@ Result<StatementResult> graph_query_core(const GraphQueryStmt& stmt,
     // local matcher; any other error fails the statement.
     if (ctx.dist_matcher) {
       Result<MatchResult> dist =
-          ctx.dist_matcher(stmt, i, net, params, ctx);
+          ctx.dist_matcher(stmt, i, net, ctx.params, ctx);
       if (dist.is_ok()) {
         matches.push_back(std::move(dist).value());
         continue;
@@ -507,9 +486,7 @@ Result<StatementResult> graph_query_core(const GraphQueryStmt& stmt,
 
 Result<StatementResult> execute_graph_query(const GraphQueryStmt& stmt,
                                             ExecContext& ctx) {
-  GEMS_ASSIGN_OR_RETURN(
-      StatementResult result,
-      graph_query_core(stmt, ctx, ctx.params, /*overlay=*/nullptr));
+  GEMS_ASSIGN_OR_RETURN(StatementResult result, graph_query_core(stmt, ctx));
   if (!ctx.defer_catalog_writes) commit_result(result, ctx);
   return result;
 }
@@ -565,15 +542,11 @@ std::string default_item_name(const graql::SelectItem& item,
 
 namespace {
 
-/// Shared body of execute_table_query / execute_statement_read (see
-/// graph_query_core for the contract: immutable context, explicit params,
-/// no catalog registration).
+/// Body of execute_table_query (see graph_query_core: no catalog
+/// registration).
 Result<StatementResult> table_query_core(const TableQueryStmt& stmt,
-                                         const ExecContext& ctx,
-                                         const relational::ParamMap& params,
-                                         const CatalogOverlay* overlay) {
-  GEMS_ASSIGN_OR_RETURN(TablePtr source,
-                        find_source_table(ctx, overlay, stmt.from_table));
+                                         const ExecContext& ctx) {
+  GEMS_ASSIGN_OR_RETURN(TablePtr source, ctx.tables.find(stmt.from_table));
   StringPool& pool = *ctx.pool;
   relational::TableScope scope(*source);
 
@@ -583,7 +556,7 @@ Result<StatementResult> table_query_core(const TableQueryStmt& stmt,
   if (stmt.where) {
     GEMS_ASSIGN_OR_RETURN(
         BoundExprPtr pred,
-        relational::bind_predicate(stmt.where, scope, params, pool));
+        relational::bind_predicate(stmt.where, scope, ctx.params, pool));
     if (ctx.intra_pool != nullptr &&
         source->num_rows() >= ExecContext::kParallelScanThreshold) {
       rows = relational::filter_rows_parallel(*source, *pred,
@@ -621,7 +594,7 @@ Result<StatementResult> table_query_core(const TableQueryStmt& stmt,
               oc.expr, relational::bind_expr(
                            relational::Expr::make_column(
                                "", source->schema().column(c).name),
-                           scope, params, pool));
+                           scope, ctx.params, pool));
           outputs.push_back(std::move(oc));
         }
         continue;
@@ -631,7 +604,7 @@ Result<StatementResult> table_query_core(const TableQueryStmt& stmt,
           item.alias.empty() ? default_item_name(item, &anon) : item.alias;
       oc.name = namer.assign(base, "");
       GEMS_ASSIGN_OR_RETURN(
-          oc.expr, relational::bind_expr(item.expr, scope, params, pool));
+          oc.expr, relational::bind_expr(item.expr, scope, ctx.params, pool));
       outputs.push_back(std::move(oc));
     }
 
@@ -693,7 +666,7 @@ Result<StatementResult> table_query_core(const TableQueryStmt& stmt,
           oc.expr,
           relational::bind_expr(
               relational::Expr::make_column("", stmt.group_by[k]), scope,
-              params, pool));
+              ctx.params, pool));
       pre_outputs.push_back(std::move(oc));
     }
     // Aggregate inputs (named a<i> aligned with item order).
@@ -720,7 +693,7 @@ Result<StatementResult> table_query_core(const TableQueryStmt& stmt,
         oc.name = "in" + std::to_string(i);
         GEMS_ASSIGN_OR_RETURN(
             oc.expr,
-            relational::bind_expr(item.expr, scope, params, pool));
+            relational::bind_expr(item.expr, scope, ctx.params, pool));
         spec.input = static_cast<ColumnIndex>(pre_outputs.size());
         pre_outputs.push_back(std::move(oc));
       }
@@ -798,9 +771,7 @@ Result<StatementResult> table_query_core(const TableQueryStmt& stmt,
 
 Result<StatementResult> execute_table_query(const TableQueryStmt& stmt,
                                             ExecContext& ctx) {
-  GEMS_ASSIGN_OR_RETURN(
-      StatementResult result,
-      table_query_core(stmt, ctx, ctx.params, /*overlay=*/nullptr));
+  GEMS_ASSIGN_OR_RETURN(StatementResult result, table_query_core(stmt, ctx));
   if (!ctx.defer_catalog_writes) commit_result(result, ctx);
   return result;
 }
@@ -811,25 +782,6 @@ void commit_result(const StatementResult& result, ExecContext& ctx) {
   }
   if (result.into == IntoKind::kSubgraph && result.subgraph != nullptr) {
     ctx.subgraphs[result.into_name] = result.subgraph;
-  }
-}
-
-void stage_result(const StatementResult& result, CatalogOverlay& overlay) {
-  if (result.into == IntoKind::kTable && result.table != nullptr) {
-    overlay.tables[result.into_name] = result.table;
-  }
-  if (result.into == IntoKind::kSubgraph && result.subgraph != nullptr) {
-    overlay.subgraphs[result.into_name] = result.subgraph;
-  }
-}
-
-void commit_overlay(const CatalogOverlay& overlay, ExecContext& ctx) {
-  for (const auto& [name, table] : overlay.tables) {
-    (void)name;
-    ctx.tables.add_or_replace(table);
-  }
-  for (const auto& [name, subgraph] : overlay.subgraphs) {
-    ctx.subgraphs[name] = subgraph;
   }
 }
 
@@ -917,12 +869,10 @@ Result<StatementResult> execute_statement(const graql::Statement& stmt,
     }
     storage::CsvOptions options;
     options.has_header = s->has_header;
-    if (ctx.copy_on_write) {
-      // Epochs pinned on the previous catalog share the Table object;
-      // append to a clone and swap it in so they never see the new rows.
-      table = std::make_shared<Table>(*table);
-      ctx.tables.add_or_replace(table);
-    }
+    // Epochs pinned on the previous catalog share the Table object:
+    // append to a clone and swap it in so they never see the new rows.
+    table = std::make_shared<Table>(*table);
+    ctx.tables.add_or_replace(table);
     const std::size_t rows_before = table->num_rows();
     GEMS_ASSIGN_OR_RETURN(storage::CsvIngestStats stats,
                           storage::ingest_csv_file(*table, path, options));
@@ -984,36 +934,6 @@ Result<StatementResult> execute_statement(const graql::Statement& stmt,
     return execute_table_query(*s, ctx);
   }
   GEMS_UNREACHABLE("unhandled statement kind");
-}
-
-Result<StatementResult> execute_statement_read(const graql::Statement& stmt,
-                                               const ReadView& view) {
-  GEMS_CHECK(view.base != nullptr && view.params != nullptr);
-  const ExecContext& ctx = *view.base;
-  GEMS_CHECK(ctx.pool != nullptr);
-
-  if (const auto* s = std::get_if<graql::OutputStmt>(&stmt)) {
-    GEMS_ASSIGN_OR_RETURN(TablePtr table,
-                          find_source_table(ctx, view.overlay, s->table));
-    std::string path = s->path;
-    if (!ctx.data_dir.empty() && !path.empty() && path.front() != '/') {
-      path = ctx.data_dir + "/" + path;
-    }
-    GEMS_RETURN_IF_ERROR(storage::write_csv_file(*table, path));
-    StatementResult result;
-    result.message = "wrote " + std::to_string(table->num_rows()) +
-                     " rows of " + s->table + " to " + s->path;
-    return result;
-  }
-  if (const auto* s = std::get_if<graql::GraphQueryStmt>(&stmt)) {
-    return graph_query_core(*s, ctx, *view.params, view.overlay);
-  }
-  if (const auto* s = std::get_if<graql::TableQueryStmt>(&stmt)) {
-    return table_query_core(*s, ctx, *view.params, view.overlay);
-  }
-  // DDL / ingest: the server's classification routes such scripts to the
-  // exclusive path before execution ever starts.
-  return internal_error("mutating statement reached the shared execution path");
 }
 
 }  // namespace gems::exec

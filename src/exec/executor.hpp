@@ -58,8 +58,9 @@ struct ExecContext {
   /// Monotone counter bumped only when existing instance numbering may
   /// have changed (full rebuild_graph()). Incremental ingest and
   /// type-appending DDL preserve prior vertex/edge indices, so results
-  /// computed against an older graph (subgraph bitsets, overlay commits)
-  /// stay valid as long as this counter is unchanged.
+  /// computed against an older graph (subgraph bitsets a read-only
+  /// script folds into the live catalog) stay valid as long as this
+  /// counter is unchanged.
   std::uint64_t renumber_version = 0;
 
   /// Safety cap for graph-query row enumeration (0 = unlimited).
@@ -96,9 +97,10 @@ struct ExecContext {
   /// typed retryable error when a rank is down mid-query). `network_index`
   /// identifies the or-group so rank replicas can lower the same statement
   /// and pick the same network. `ctx` is the context the query executes
-  /// against — with gems::mvcc that is a pinned epoch's immutable
-  /// snapshot, which the coordinator encodes (lock-free) to sync rank
-  /// replicas, so distributed and local results come from the same state.
+  /// against — for a read-only script, a script-local copy of a pinned
+  /// epoch's context, which the coordinator encodes (lock-free) to sync
+  /// rank replicas, so distributed and local results come from the same
+  /// state.
   std::function<Result<MatchResult>(const graql::GraphQueryStmt& stmt,
                                     std::size_t network_index,
                                     const ConstraintNetwork& net,
@@ -111,11 +113,6 @@ struct ExecContext {
   /// multi-statement scheduler, paper Sec. III-B1, so that independent
   /// statements can run concurrently against read-only state).
   bool defer_catalog_writes = false;
-
-  /// gems::mvcc: when true, ingest appends to a copy-on-write clone of the
-  /// target table (swapped into `tables`) instead of mutating it in place,
-  /// so epochs pinned on the previous catalog never observe the new rows.
-  bool copy_on_write = false;
 
   /// gems::mvcc: when true, ingest maintains the graph incrementally
   /// (graph::extend_graph_for_ingest) and falls back to rebuild_graph()
@@ -153,57 +150,13 @@ struct StatementResult {
   std::string into_name;
 };
 
-/// Script-local staging area for `into table` / `into subgraph` results on
-/// the shared (read-only) access path: instead of registering in the
-/// shared catalog mid-script, results land here; later statements of the
-/// same script resolve names against the overlay *before* the shared
-/// catalog (serial-script semantics), and the server publishes the whole
-/// overlay under brief exclusive access once the script completes — other
-/// sessions never observe a half-committed catalog.
-struct CatalogOverlay {
-  std::map<std::string, storage::TablePtr> tables;
-  std::map<std::string, SubgraphPtr> subgraphs;
-
-  bool empty() const { return tables.empty() && subgraphs.empty(); }
-};
-
-/// Const read-view over a shared ExecContext — the shared access path
-/// executes through this, so the type system enforces that concurrent
-/// readers cannot mutate the shared state (catalog registrations, bound
-/// params, graph rebuilds all need the mutable ExecContext, which only
-/// the exclusive path sees). `params` are per-script (never written into
-/// the shared context); `overlay` carries this script's own staged
-/// results.
-struct ReadView {
-  const ExecContext* base = nullptr;
-  const relational::ParamMap* params = nullptr;
-  const CatalogOverlay* overlay = nullptr;
-};
-
 /// Registers a deferred result (into table / into subgraph) in the
 /// context's catalog. No-op for results without an `into` clause.
 void commit_result(const StatementResult& result, ExecContext& ctx);
 
-/// Stages a result in a script-local overlay (the shared path's analogue
-/// of commit_result). No-op for results without an `into` clause.
-void stage_result(const StatementResult& result, CatalogOverlay& overlay);
-
-/// Publishes a script's staged results into the shared catalog. The
-/// caller must hold exclusive access.
-void commit_overlay(const CatalogOverlay& overlay, ExecContext& ctx);
-
 /// Executes one statement, updating `ctx`.
 Result<StatementResult> execute_statement(const graql::Statement& stmt,
                                           ExecContext& ctx);
-
-/// Read-only statement execution for the shared access path: never
-/// mutates the shared context. Graph/table queries and `output` run
-/// normally (with `into` results returned, not registered — the caller
-/// stages them); DDL and ingest statements return kInternal, because the
-/// server's classification must have routed such scripts to the exclusive
-/// path.
-Result<StatementResult> execute_statement_read(const graql::Statement& stmt,
-                                               const ReadView& view);
 
 /// Executes a graph query (exposed separately for the planner benches).
 Result<StatementResult> execute_graph_query(const graql::GraphQueryStmt& stmt,

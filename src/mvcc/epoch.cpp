@@ -43,7 +43,7 @@ std::uint64_t EpochManager::publish(const exec::ExecContext& base) {
     epoch->ctx_.planner = nullptr;
   }
   if (current_ && current_->ctx_.graph_version == base.graph_version) {
-    // Same graph (e.g. an overlay-only publication): adopt the previous
+    // Same graph (e.g. an `into`-only fold): adopt the previous
     // epoch's memoized planner stats instead of recollecting. Both stats
     // mutexes are taken (the new epoch's is private and uncontended, but
     // the guarded write still goes through its capability).

@@ -36,8 +36,8 @@ namespace gems::mvcc {
 class EpochManager;
 
 /// One immutable published database state. The context is fully formed
-/// (planner installed, mutation hooks stripped) — the shared execution
-/// path can run against it directly.
+/// (planner installed, mutation hooks stripped) — a read-only script runs
+/// against a script-local copy of it.
 class GraphEpoch {
  public:
   std::uint64_t id() const noexcept { return id_; }

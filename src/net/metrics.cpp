@@ -57,7 +57,7 @@ std::string MetricsSnapshot::to_string() const {
         static_cast<unsigned long long>(v.execute.quantile_us(0.99)));
     out << line;
   }
-  if (access.shared_acquired > 0 || access.exclusive_acquired > 0) {
+  if (access.exclusive_acquired > 0) {
     out << access.to_string();
   }
   if (cluster.num_ranks > 0) {
@@ -113,7 +113,8 @@ void encode_snapshot(const MetricsSnapshot& snap,
   }
   // Access-layer counters ride at the tail: old decoders stop before them
   // (the snapshot decode has always tolerated trailing bytes), so this is
-  // wire-compatible without a version bump.
+  // wire-compatible without a version bump. The shared-side slots are
+  // always 0 (the guard is exclusive-only) but keep the block's layout.
   w.u64(snap.access.shared_acquired);
   w.u64(snap.access.exclusive_acquired);
   w.u64(snap.access.shared_wait_us);

@@ -42,11 +42,11 @@ struct VerbMetrics {
 struct MetricsSnapshot {
   std::array<VerbMetrics, kNumVerbs> verbs{};
 
-  /// Database access-layer counters (shared/exclusive acquisitions and
-  /// wait/hold times) merged in by the server when answering `stats`, so
-  /// a remote bench can see read concurrency server-side. Appended to the
-  /// wire payload; old peers ignore it, and decoding tolerates its
-  /// absence, so kWireVersion is unchanged.
+  /// Database writer-lock counters (acquisitions and wait/hold times;
+  /// the shared-side fields are always 0) merged in by the server when
+  /// answering `stats`; read concurrency shows in the `epoch` block.
+  /// Appended to the wire payload; old peers ignore it, and decoding
+  /// tolerates its absence, so kWireVersion is unchanged.
   server::AccessMetricsSnapshot access{};
 
   /// Cluster coordinator counters (per-rank BSP traffic), merged in by the

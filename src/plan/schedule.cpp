@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/check.hpp"
+#include "common/sync.hpp"
 
 namespace gems::plan {
 
@@ -154,13 +155,17 @@ Result<std::vector<StatementResult>> run_scheduled(const Script& script,
     }
     // Parallel level: run against read-only shared state, commit results
     // afterwards in script order (deterministic catalog contents).
+    // The tasks act on behalf of this thread, which blocks on their
+    // futures below: a writer lock it holds covers them too.
     ctx.defer_catalog_writes = true;
+    const std::thread::id submitter = sync::acting_thread_id();
     std::vector<Result<StatementResult>> outcomes(
         level.size(), Status(StatusCode::kInternal, "not run"));
     std::vector<std::future<void>> futures;
     futures.reserve(level.size());
     for (std::size_t k = 0; k < level.size(); ++k) {
       futures.push_back(pool->submit([&, k] {
+        const sync::ScopedActingThread acting(submitter);
         outcomes[k] = execute_statement(script.statements[level[k]], ctx);
       }));
     }
@@ -170,46 +175,6 @@ Result<std::vector<StatementResult>> run_scheduled(const Script& script,
       if (!outcomes[k].is_ok()) return outcomes[k].status();
       results[level[k]] = std::move(outcomes[k]).value();
       exec::commit_result(results[level[k]], ctx);
-    }
-  }
-  return results;
-}
-
-Result<std::vector<StatementResult>> run_scheduled_shared(
-    const Script& script, const Schedule& schedule, const ExecContext& ctx,
-    const relational::ParamMap& params, exec::CatalogOverlay& overlay,
-    ThreadPool* pool) {
-  const exec::ReadView view{&ctx, &params, &overlay};
-  std::vector<StatementResult> results(script.statements.size());
-  for (const auto& level : schedule.levels) {
-    if (pool == nullptr || level.size() == 1) {
-      for (const std::size_t i : level) {
-        GEMS_ASSIGN_OR_RETURN(
-            results[i], execute_statement_read(script.statements[i], view));
-        // Stage immediately: the next serial statement may read this name.
-        exec::stage_result(results[i], overlay);
-      }
-      continue;
-    }
-    // Parallel level: statements in one level are independent by
-    // construction, so they share the (immutable) view; their results are
-    // staged afterwards in script order, exactly like run_scheduled
-    // commits deferred results.
-    std::vector<Result<StatementResult>> outcomes(
-        level.size(), Status(StatusCode::kInternal, "not run"));
-    std::vector<std::future<void>> futures;
-    futures.reserve(level.size());
-    for (std::size_t k = 0; k < level.size(); ++k) {
-      futures.push_back(pool->submit([&, k] {
-        outcomes[k] =
-            exec::execute_statement_read(script.statements[level[k]], view);
-      }));
-    }
-    for (auto& f : futures) f.get();
-    for (std::size_t k = 0; k < level.size(); ++k) {
-      if (!outcomes[k].is_ok()) return outcomes[k].status();
-      results[level[k]] = std::move(outcomes[k]).value();
-      exec::stage_result(results[level[k]], overlay);
     }
   }
   return results;

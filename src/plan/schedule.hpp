@@ -52,10 +52,11 @@ struct Schedule {
 Schedule build_schedule(const graql::Script& script);
 
 /// True when no statement of the script is a DDL/ingest barrier — such
-/// scripts never mutate the shared database state (their `into` results
-/// are script-local until committed) and may execute concurrently under
-/// shared access (see server::AccessGuard). The classification reuses
-/// analyze_io so it cannot drift from the scheduler's barrier notion.
+/// scripts never mutate the base tables or the graph, so the server runs
+/// them on a script-local copy of a pinned epoch's context instead of the
+/// live one (their `into` results are folded in afterwards). The
+/// classification reuses analyze_io so it cannot drift from the
+/// scheduler's barrier notion.
 bool script_is_read_only(const graql::Script& script);
 
 /// Executes a script per `schedule`. When `pool` is non-null, statements
@@ -65,17 +66,5 @@ bool script_is_read_only(const graql::Script& script);
 Result<std::vector<exec::StatementResult>> run_scheduled(
     const graql::Script& script, const Schedule& schedule,
     exec::ExecContext& ctx, ThreadPool* pool);
-
-/// Shared-access variant of run_scheduled for read-only scripts (the
-/// caller must have classified the script with script_is_read_only): the
-/// context is never mutated; `into` results are staged in `overlay`
-/// (later statements resolve names overlay-first, preserving serial
-/// semantics) for the caller to publish under exclusive access. `params`
-/// are the script's own bindings — they never touch ctx.params, so many
-/// scripts with different params can share one context concurrently.
-Result<std::vector<exec::StatementResult>> run_scheduled_shared(
-    const graql::Script& script, const Schedule& schedule,
-    const exec::ExecContext& ctx, const relational::ParamMap& params,
-    exec::CatalogOverlay& overlay, ThreadPool* pool);
 
 }  // namespace gems::plan

@@ -21,12 +21,10 @@ Database::Database(DatabaseOptions options) : options_(std::move(options)) {
   ctx_.pool = &pool_;
   ctx_.data_dir = options_.data_dir;
   ctx_.max_result_rows = options_.max_result_rows;
-  // gems::mvcc: ingest appends to copy-on-write table clones (epochs
-  // pinned on the previous catalog keep their rows) and maintains the CSR
-  // graph incrementally. Set before Store::open so WAL replay takes the
-  // identical per-record delta-or-rebuild decisions the live execution
-  // took — that is what makes recovery byte-identical.
-  ctx_.copy_on_write = true;
+  // gems::mvcc: ingest maintains the CSR graph incrementally. Set before
+  // Store::open so WAL replay takes the identical per-record
+  // delta-or-rebuild decisions the live execution took — that is what
+  // makes recovery byte-identical.
   ctx_.incremental_ingest = options_.incremental_ingest;
   ctx_.batch_policy = options_.vectorized_execution
                           ? relational::BatchPolicy{}
@@ -42,8 +40,9 @@ Database::Database(DatabaseOptions options) : options_(std::move(options)) {
     // context under exclusive access.
     ctx_.planner = [this](const exec::ConstraintNetwork& net) {
       // The executor invokes this while a mutating script holds
-      // exclusive access (or from single-threaded tooling driving the
-      // live context directly — the quiescent case the assert also
+      // exclusive access — on the holder's thread or on a statement-pool
+      // task acting for it — or from single-threaded tooling driving the
+      // live context directly (the unheld case the assert also
       // accepts), but the std::function boundary hides that from the
       // static analysis — assert the capability (runtime-checked) so
       // the guarded reads below are verified, not waived.
@@ -463,11 +462,76 @@ Result<std::vector<StatementResult>> Database::run_parsed(
   // depends on the script text, not on database state.
   const plan::Schedule schedule = plan::build_schedule(script);
   if (plan::script_is_read_only(script)) {
-    return run_parsed_shared(script, schedule, params);
+    GEMS_RETURN_IF_ERROR(store_status());
+    std::vector<StatementResult> results;
+    std::uint64_t renumber_at_read = 0;
+    std::uint64_t version_at_read = 0;
+    {
+      // Pin the current epoch and run the script on a script-local copy
+      // of its context — no lock is held for the read, so a writer can
+      // publish any number of new epochs meanwhile; the pin keeps our
+      // state alive and byte-stable (deferred retirement). The copy is
+      // shallow (tables, types and subgraphs are shared_ptrs): params
+      // bind into it and `into` results register in its catalog only,
+      // where later statements of the script resolve them.
+      const mvcc::EpochPin pin = epochs_.pin();
+      if (!options_.skip_static_analysis) {
+        MetaCatalog meta = meta_catalog_from(pin.ctx());
+        GEMS_RETURN_IF_ERROR(graql::analyze_script(script, meta, &params));
+      }
+      exec::ExecContext local = pin.ctx();
+      local.params = params;
+      renumber_at_read = local.renumber_version;
+      version_at_read = local.graph_version;
+      GEMS_ASSIGN_OR_RETURN(
+          results, plan::run_scheduled(script, schedule, local,
+                                       options_.parallel_statements
+                                           ? statement_pool_.get()
+                                           : nullptr));
+    }
+    if (std::none_of(results.begin(), results.end(),
+                     [](const StatementResult& r) {
+                       return r.into != graql::IntoKind::kNone;
+                     })) {
+      return results;
+    }
+
+    // Fold the script's `into` results into the live context in script
+    // order and publish a fresh epoch, all under brief exclusive access —
+    // no reader ever observes a half-committed catalog (they pin whole
+    // epochs).
+    const ExclusiveAccessLock commit(access_);
+    if (ctx_.renumber_version != renumber_at_read &&
+        std::any_of(results.begin(), results.end(),
+                    [](const StatementResult& r) {
+                      return r.into == graql::IntoKind::kSubgraph;
+                    })) {
+      // A full graph rebuild happened between pin and fold, so existing
+      // vertex/edge numbering may have changed and the subgraph bitsets
+      // are meaningless against the live graph. Rare: incremental ingest
+      // preserves numbering (base rows keep their indices) and does not
+      // bump renumber_version — only a fallback rebuild (parameterized
+      // declarations, a one-to-one key collapse) or explicit DDL does.
+      return unavailable(
+          "concurrent ingest/DDL renumbered the graph under this script's "
+          "subgraph results; re-run the script");
+    }
+    for (const StatementResult& r : results) {
+      exec::commit_result(r, ctx_);
+      if (r.into == graql::IntoKind::kSubgraph &&
+          ctx_.graph_version != version_at_read) {
+        // Numbering is intact but the graph grew (delta ingests since the
+        // pin): pad the bitsets to the live type sizes.
+        exec::SubgraphPtr& sub = ctx_.subgraphs[r.into_name];
+        sub = sub->resized_for(ctx_.graph);
+      }
+    }
+    epochs_.publish(ctx_);
+    return results;
   }
 
-  // Mutating script: sole holder — excludes other writers, overlay
-  // commits and checkpoint capture windows while it applies. Readers are
+  // Mutating script: sole holder — excludes other writers, `into` folds
+  // and checkpoint capture windows while it applies. Readers are
   // unaffected: they execute against previously pinned epochs.
   const ExclusiveAccessLock lock(access_);
 
@@ -485,6 +549,8 @@ Result<std::vector<StatementResult>> Database::run_parsed(
   // Backend: dependence scheduling (Sec. III-B1) + execution. Skip the
   // ParamMap copy when both maps are empty (the common no-params case);
   // when the previous script bound params, assignment also clears them.
+  // Statement-pool tasks of a parallel level act for this thread, so the
+  // live planner's owner assert accepts them while we hold the lock.
   if (!params.empty() || !ctx_.params.empty()) ctx_.params = params;
   auto results = plan::run_scheduled(script, schedule, ctx_,
                                      options_.parallel_statements
@@ -493,68 +559,6 @@ Result<std::vector<StatementResult>> Database::run_parsed(
   // Publish the post-script state as a new epoch — also on error: a
   // mid-script failure may have applied earlier statements, and readers
   // must see that state, not a snapshot that pretends it never happened.
-  epochs_.publish(ctx_);
-  return results;
-}
-
-Result<std::vector<StatementResult>> Database::run_parsed_shared(
-    const Script& script, const plan::Schedule& schedule,
-    const relational::ParamMap& params) {
-  GEMS_RETURN_IF_ERROR(store_status());
-
-  // Pin the current epoch and execute against that immutable snapshot —
-  // no lock is held for the read, so a writer can publish any number of
-  // new epochs while this script runs; the pin keeps our state alive and
-  // byte-stable (deferred retirement).
-  mvcc::EpochPin pin = epochs_.pin();
-  const exec::ExecContext& snap = pin.ctx();
-
-  if (!options_.skip_static_analysis) {
-    MetaCatalog meta = meta_catalog_from(snap);
-    GEMS_RETURN_IF_ERROR(graql::analyze_script(script, meta, &params));
-  }
-
-  // Params stay script-local (never written into the epoch), and `into`
-  // results land in the overlay.
-  exec::CatalogOverlay overlay;
-  const std::uint64_t renumber_at_read = snap.renumber_version;
-  const std::uint64_t version_at_read = snap.graph_version;
-  GEMS_ASSIGN_OR_RETURN(
-      std::vector<StatementResult> results,
-      plan::run_scheduled_shared(script, schedule, snap, params, overlay,
-                                 options_.parallel_statements
-                                     ? statement_pool_.get()
-                                     : nullptr));
-  if (overlay.empty()) return results;
-
-  // Fold the script's `into` results into the live context and publish a
-  // fresh epoch, all under brief exclusive access — no reader ever
-  // observes a half-committed catalog (they pin whole epochs).
-  pin.release();
-  const ExclusiveAccessLock commit(access_);
-  if (!overlay.subgraphs.empty() &&
-      ctx_.renumber_version != renumber_at_read) {
-    // A full graph rebuild happened between pin and commit, so existing
-    // vertex/edge numbering may have changed and the staged subgraph
-    // bitsets are meaningless against the live graph. Rare: incremental
-    // ingest preserves numbering (base rows keep their indices) and does
-    // not bump renumber_version — only a fallback rebuild (parameterized
-    // declarations, a one-to-one key collapse) or explicit DDL does.
-    return unavailable(
-        "concurrent ingest/DDL renumbered the graph under this script's "
-        "subgraph results; re-run the script");
-  }
-  exec::commit_overlay(overlay, ctx_);
-  if (!overlay.subgraphs.empty() && ctx_.graph_version != version_at_read) {
-    // Numbering is intact but the graph grew (delta ingests since the
-    // pin): pad the committed bitsets to the live type sizes.
-    for (const auto& entry : overlay.subgraphs) {
-      auto it = ctx_.subgraphs.find(entry.first);
-      if (it != ctx_.subgraphs.end()) {
-        it->second = it->second->resized_for(ctx_.graph);
-      }
-    }
-  }
   epochs_.publish(ctx_);
   return results;
 }

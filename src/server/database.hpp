@@ -225,11 +225,12 @@ class Database {
   std::string match_stats() const GEMS_NO_THREAD_SAFETY_ANALYSIS;
 
   // ---- Access-layer observability --------------------------------------
-  /// Shared/exclusive acquisition, wait and hold counters since open.
+  /// Writer-lock acquisition, wait and hold counters since open (the
+  /// snapshot's shared-side fields are always 0).
   AccessMetricsSnapshot access_metrics() const { return access_.snapshot(); }
 
-  /// Human-readable `\accessstats` rendering: lock-layer counters plus the
-  /// epoch lifecycle block (read-only scripts no longer touch the lock —
+  /// Human-readable `\accessstats` rendering: writer-lock counters plus
+  /// the epoch lifecycle block (read-only scripts never touch the lock —
   /// they pin epochs, which is where their activity shows up).
   std::string access_stats() const {
     return access_.snapshot().to_string() + "\n" + epoch_stats();
@@ -279,19 +280,15 @@ class Database {
 
  private:
   /// Shared back half of run_script / run_ir: analyze (unless skipped),
-  /// schedule and execute an already-parsed script. Classifies the script
-  /// (plan::script_is_read_only) and routes it to the shared or exclusive
-  /// access path.
+  /// schedule and execute an already-parsed script. Mutating scripts run
+  /// on the live context under the writer lock. A read-only script
+  /// (plan::script_is_read_only) pins the current epoch and runs through
+  /// the same plan::run_scheduled on a script-local copy of the epoch's
+  /// context, with no lock held; its `into` results are then folded into
+  /// the live context (exec::commit_result, script order) and published
+  /// under brief exclusive access.
   Result<std::vector<exec::StatementResult>> run_parsed(
       graql::Script script, const relational::ParamMap& params);
-
-  /// Read-only script execution against a pinned epoch: zero coordination
-  /// with writers (no lock acquired for the read itself); `into` results
-  /// are staged in a script-local overlay and folded into a fresh epoch
-  /// publication under brief exclusive access at the end.
-  Result<std::vector<exec::StatementResult>> run_parsed_shared(
-      const graql::Script& script, const plan::Schedule& schedule,
-      const relational::ParamMap& params);
 
   /// Shared body of explain / explain_ir over a parsed+analyzed script.
   Result<std::string> explain_parsed(const graql::Script& script,
@@ -324,7 +321,7 @@ class Database {
   sync::Mutex checkpoint_serial_mutex_ GEMS_ACQUIRED_BEFORE(access_);
 
   /// The writer-side access layer (see access.hpp): mutating scripts,
-  /// overlay commits and checkpoint capture windows hold it exclusively.
+  /// `into` folds and checkpoint capture windows hold it exclusively.
   /// Read-only scripts no longer acquire it at all — they pin an epoch
   /// (epochs_) and execute against that immutable snapshot, so writers
   /// never block readers and readers never block writers beyond the brief
@@ -344,7 +341,7 @@ class Database {
       GEMS_GUARDED_BY(stats_mutex_);
   std::uint64_t stats_version_ GEMS_GUARDED_BY(stats_mutex_) = ~0ull;
 
-  /// gems::mvcc epoch chain: every mutating script (and overlay commit)
+  /// gems::mvcc epoch chain: every mutating script (and `into` fold)
   /// ends by publishing ctx_ as a new immutable epoch; every read path
   /// pins the current one. `mutable` so const introspection can pin.
   mutable mvcc::EpochManager epochs_;

@@ -574,6 +574,11 @@ inline std::vector<ExprPtr> predicate_corpus() {
   return out;
 }
 
+// memcmp with an empty column's null data() pointer is undefined.
+inline bool bytes_equal(const void* a, const void* b, std::size_t n) {
+  return n == 0 || std::memcmp(a, b, n) == 0;
+}
+
 inline void expect_tables_byte_identical(const Table& a, const Table& b,
                                          const char* what) {
   ASSERT_EQ(a.num_rows(), b.num_rows()) << what;
@@ -589,9 +594,8 @@ inline void expect_tables_byte_identical(const Table& a, const Table& b,
       case TypeKind::kDate: {
         const auto sa = ca.int_span(), sb = cb.int_span();
         ASSERT_EQ(sa.size(), sb.size()) << what << " col " << c;
-        EXPECT_EQ(std::memcmp(sa.data(), sb.data(),
-                              sa.size() * sizeof(std::int64_t)),
-                  0)
+        EXPECT_TRUE(
+            bytes_equal(sa.data(), sb.data(), sa.size() * sizeof(std::int64_t)))
             << what << " col " << c;
         break;
       }
@@ -599,18 +603,16 @@ inline void expect_tables_byte_identical(const Table& a, const Table& b,
         // memcmp, not ==: catches -0.0 vs +0.0 and NaN payload drift.
         const auto sa = ca.double_span(), sb = cb.double_span();
         ASSERT_EQ(sa.size(), sb.size()) << what << " col " << c;
-        EXPECT_EQ(
-            std::memcmp(sa.data(), sb.data(), sa.size() * sizeof(double)),
-            0)
+        EXPECT_TRUE(
+            bytes_equal(sa.data(), sb.data(), sa.size() * sizeof(double)))
             << what << " col " << c;
         break;
       }
       case TypeKind::kVarchar: {
         const auto sa = ca.string_span(), sb = cb.string_span();
         ASSERT_EQ(sa.size(), sb.size()) << what << " col " << c;
-        EXPECT_EQ(std::memcmp(sa.data(), sb.data(),
-                              sa.size() * sizeof(StringId)),
-                  0)
+        EXPECT_TRUE(
+            bytes_equal(sa.data(), sb.data(), sa.size() * sizeof(StringId)))
             << what << " col " << c;
         break;
       }

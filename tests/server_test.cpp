@@ -3,15 +3,18 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <set>
 #include <thread>
 
 #include "bsbm/generator.hpp"
 #include "bsbm/queries.hpp"
 #include "bsbm/schema.hpp"
+#include "common/sync.hpp"
 #include "server/database.hpp"
 #include "storage/csv.hpp"
 
@@ -185,6 +188,43 @@ TEST(DatabaseTest, ParallelStatementsOptionWorks) {
   ASSERT_TRUE(r.is_ok()) << r.status().to_string();
   EXPECT_TRUE(db.tables().contains("A"));
   EXPECT_TRUE(db.tables().contains("B"));
+  // A mutating script with a two-wide query level after its barrier. The
+  // live planner is wrapped so each call records its thread and waits for
+  // the other one: the level finishes only if its two statements run at
+  // the same time on two pool threads, and the wrapped planner's owner
+  // assert (the writer lock is held by this thread) must accept both.
+  sync::Mutex mu;
+  sync::CondVar cv;
+  std::set<std::thread::id> planner_threads;
+  bool timed_out = false;
+  exec::ExecContext& live = db.context();
+  live.planner = [&, inner = live.planner](const exec::ConstraintNetwork& n) {
+    {
+      sync::MutexLock lock(mu);
+      planner_threads.insert(std::this_thread::get_id());
+      cv.notify_all();
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(10);
+      while (planner_threads.size() < 2 && !timed_out) {
+        if (!cv.wait_until(mu, deadline)) timed_out = true;
+      }
+    }
+    return inner(n);
+  };
+  r = db.run_script(
+      "create table Extra(id varchar(32), v integer)\n"
+      "select ProductVtx.id from graph ProductVtx() --producer--> "
+      "ProducerVtx(country = 'US') into table C\n"
+      "select ProductVtx.id from graph ProductVtx() --producer--> "
+      "ProducerVtx(country = 'DE') into table D");
+  ASSERT_TRUE(r.is_ok()) << r.status().to_string();
+  EXPECT_EQ(db.tables().find("C").value()->num_rows(),
+            db.tables().find("A").value()->num_rows());
+  EXPECT_TRUE(db.tables().contains("D"));
+  sync::MutexLock lock(mu);
+  EXPECT_FALSE(timed_out);
+  EXPECT_EQ(planner_threads.size(), 2u);
+  EXPECT_EQ(planner_threads.count(std::this_thread::get_id()), 0u);
 }
 
 TEST(DatabaseTest, RowCapOption) {
@@ -290,7 +330,7 @@ std::string render(const std::vector<StatementResult>& results) {
 }
 
 /// Read-only Berlin scripts: pure selects plus an `into table` script that
-/// reads its own staged result back (overlay-first resolution).
+/// reads its own staged result back (script-local catalog).
 std::vector<std::string> read_only_scripts() {
   return {
       "select ProductVtx.id from graph ProductVtx() --producer--> "
@@ -317,6 +357,9 @@ TEST(ConcurrentAccessTest, EightReadersMatchSerialByteIdentical) {
 
   constexpr int kThreads = 8;
   constexpr int kRounds = 4;
+  const std::uint64_t exclusive_before =
+      (*db)->access_metrics().exclusive_acquired;
+  const std::uint64_t pins_before = (*db)->epoch_metrics().pins_taken;
   std::atomic<int> mismatches{0};
   std::atomic<int> failures{0};
   std::vector<std::thread> threads;
@@ -339,17 +382,20 @@ TEST(ConcurrentAccessTest, EightReadersMatchSerialByteIdentical) {
   EXPECT_EQ(failures.load(), 0);
   EXPECT_EQ(mismatches.load(), 0);
 
-  // Every script above is read-only: with gems::mvcc each execution pins
-  // an epoch instead of taking the access lock.
+  // Every script above is read-only: each execution pins exactly one
+  // epoch, and only the scripts with an `into` clause take the writer
+  // lock (once, to fold their results into a new epoch).
+  std::uint64_t into_scripts = 0;
+  for (const auto& s : scripts) {
+    if (s.find(" into ") != std::string::npos) ++into_scripts;
+  }
+  ASSERT_GT(into_scripts, 0u);
+  const std::uint64_t runs = kThreads * kRounds;
   const mvcc::EpochMetricsSnapshot e = (*db)->epoch_metrics();
-  EXPECT_GE(e.pins_taken,
-            static_cast<std::uint64_t>(kThreads * kRounds * scripts.size()));
+  EXPECT_EQ(e.pins_taken - pins_before, runs * scripts.size());
   EXPECT_EQ(e.pinned_readers, 0u);  // all pins released
   const AccessMetricsSnapshot m = (*db)->access_metrics();
-  // Readers never touch the lock; only the `into table` scripts took
-  // brief exclusive windows to fold their overlays into new epochs.
-  EXPECT_EQ(m.shared_acquired, 0u);
-  EXPECT_GE(m.exclusive_acquired, static_cast<std::uint64_t>(kThreads));
+  EXPECT_EQ(m.exclusive_acquired - exclusive_before, runs * into_scripts);
 }
 
 TEST(ConcurrentAccessTest, ReadersNeverObserveHalfCommittedState) {
@@ -381,14 +427,18 @@ TEST(ConcurrentAccessTest, ReadersNeverObserveHalfCommittedState) {
 
   constexpr int kThreads = 8;
   constexpr int kBatches = 4;
+  const std::uint64_t exclusive_before = db.access_metrics().exclusive_acquired;
+  const std::uint64_t pins_before = db.epoch_metrics().pins_taken;
   std::atomic<bool> stop{false};
   std::atomic<int> failures{0};
   std::atomic<int> torn_reads{0};
+  std::atomic<std::uint64_t> reads{0};
   std::vector<std::thread> readers;
   readers.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
     readers.emplace_back([&] {
       while (!stop.load(std::memory_order_acquire)) {
+        reads.fetch_add(1);
         auto r = db.run_statement(
             "select count(*) as n from table Producers");
         if (!r.is_ok()) {
@@ -415,35 +465,54 @@ TEST(ConcurrentAccessTest, ReadersNeverObserveHalfCommittedState) {
   EXPECT_EQ(torn_reads.load(), 0);
   EXPECT_EQ((*db.table("Producers"))->num_rows(), base + 50 * kBatches);
 
+  // The lock went only to the writers: one hold per ingest script and two
+  // per checkpoint (capture window, WAL rotation). The readers' scripts
+  // have no `into`, so they never took it; each pinned exactly one epoch,
+  // as did each checkpoint's capture.
   const AccessMetricsSnapshot m = db.access_metrics();
-  // Each ingest script and each checkpoint took exclusive access; the
-  // readers pinned epochs and never acquired the lock at all.
-  EXPECT_GE(m.exclusive_acquired, static_cast<std::uint64_t>(2 * kBatches));
-  EXPECT_EQ(m.shared_acquired, 0u);
+  EXPECT_EQ(m.exclusive_acquired - exclusive_before,
+            static_cast<std::uint64_t>(3 * kBatches));
   const mvcc::EpochMetricsSnapshot e = db.epoch_metrics();
-  EXPECT_GE(e.pins_taken, static_cast<std::uint64_t>(kThreads));
+  EXPECT_EQ(e.pins_taken - pins_before, reads.load() + kBatches);
   EXPECT_GE(e.published, static_cast<std::uint64_t>(kBatches));
   std::filesystem::remove_all(dir);
 }
 
 TEST(ConcurrentAccessTest, OverlayKeepsSerialSemanticsWithinAScript) {
-  auto db = bsbm::make_populated_database(bsbm::GeneratorConfig::derive(40, 3));
-  ASSERT_TRUE(db.is_ok());
   // A read-only script that stages a table, reads it back, stages a
-  // subgraph, and queries it — all before anything is published.
-  auto r = (*db)->run_script(
+  // subgraph, and queries it. Statements resolve names their predecessors
+  // registered in the script-local context; the schedule has two levels
+  // of width two, so the parallel run exercises the deferred commits.
+  const std::string script =
       "select ProductVtx.id from graph ProductVtx() --producer--> "
       "ProducerVtx(country = 'US') into table StagedT\n"
       "select count(*) as n from table StagedT\n"
       "select * from graph ProductVtx() --producer--> ProducerVtx() "
       "into subgraph StagedG\n"
       "select ProductVtx.id from graph StagedG.ProductVtx() --producer--> "
-      "ProducerVtx() into table FromStagedG");
-  ASSERT_TRUE(r.is_ok()) << r.status().to_string();
-  // After the script, the overlay is published: all names visible.
-  EXPECT_TRUE((*db)->tables().contains("StagedT"));
-  EXPECT_TRUE((*db)->tables().contains("FromStagedG"));
-  EXPECT_TRUE((*db)->subgraph("StagedG").is_ok());
+      "ProducerVtx() into table FromStagedG";
+  std::vector<std::string> renders;
+  for (const bool parallel : {false, true}) {
+    DatabaseOptions options;
+    options.parallel_statements = parallel;
+    auto db = bsbm::make_populated_database(
+        bsbm::GeneratorConfig::derive(40, 3), options);
+    ASSERT_TRUE(db.is_ok());
+    const mvcc::EpochPin before = (*db)->pin_epoch();
+    auto r = (*db)->run_script(script);
+    ASSERT_TRUE(r.is_ok()) << r.status().to_string();
+    renders.push_back(render(r.value()));
+    // An epoch pinned before the script sees none of its names: they
+    // lived in the script's own context copy until the fold.
+    EXPECT_FALSE(before.ctx().tables.contains("StagedT"));
+    EXPECT_FALSE(before.ctx().tables.contains("FromStagedG"));
+    EXPECT_EQ(before.ctx().subgraphs.count("StagedG"), 0u);
+    // After the script, the fold has published all names.
+    EXPECT_TRUE((*db)->tables().contains("StagedT"));
+    EXPECT_TRUE((*db)->tables().contains("FromStagedG"));
+    EXPECT_TRUE((*db)->subgraph("StagedG").is_ok());
+  }
+  EXPECT_EQ(renders[0], renders[1]);
 }
 
 TEST(ConcurrentAccessTest, CachedStatsSnapshotSurvivesInvalidation) {

@@ -16,9 +16,7 @@ namespace gems {
 namespace {
 
 using server::AccessGuard;
-using server::AccessMode;
 using server::ExclusiveAccessLock;
-using server::SharedAccessLock;
 
 TEST(SyncMutex, GuardsCounterAcrossThreads) {
   sync::Mutex mu;
@@ -88,108 +86,65 @@ TEST(SyncCondVar, WaitUntilHonorsDeadline) {
   EXPECT_GE(std::chrono::steady_clock::now(), deadline);
 }
 
-TEST(AccessGuardTest, SharedHoldersOverlap) {
-  AccessGuard guard;
-  constexpr int kReaders = 4;
-  std::atomic<int> inside{0};
-  std::atomic<int> peak_seen{0};
-  sync::Mutex mu;
-  sync::CondVar cv;
-  int waiting = 0;
-
-  std::vector<std::thread> readers;
-  readers.reserve(kReaders);
-  for (int t = 0; t < kReaders; ++t) {
-    readers.emplace_back([&] {
-      const SharedAccessLock lock(guard);
-      const int now = inside.fetch_add(1) + 1;
-      int prev = peak_seen.load();
-      while (now > prev && !peak_seen.compare_exchange_weak(prev, now)) {
-      }
-      // Rendezvous: nobody leaves until everyone is inside, proving the
-      // holds genuinely overlap rather than serializing.
-      sync::MutexLock lk(mu);
-      ++waiting;
-      if (waiting == kReaders) {
-        cv.notify_all();
-      } else {
-        while (waiting != kReaders) cv.wait(mu);
-      }
-      inside.fetch_sub(1);
-    });
-  }
-  for (auto& th : readers) th.join();
-  EXPECT_EQ(peak_seen.load(), kReaders);
-  EXPECT_EQ(guard.snapshot().peak_concurrent_shared,
-            static_cast<std::uint64_t>(kReaders));
-}
-
 TEST(AccessGuardTest, ExclusiveExcludesEverything) {
   AccessGuard guard;
-  std::atomic<bool> writer_in{false};
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 200;
+  int inside = 0;  // deliberately unsynchronized: the guard is the lock
   std::atomic<int> violations{0};
 
-  std::thread writer([&] {
-    const ExclusiveAccessLock lock(guard);
-    guard.assert_exclusive_held();
-    writer_in.store(true);
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    writer_in.store(false);
-  });
-  // Give the writer time to acquire, then verify readers observe it gone.
-  while (!writer_in.load()) std::this_thread::yield();
-  std::vector<std::thread> readers;
-  for (int t = 0; t < 3; ++t) {
-    readers.emplace_back([&] {
-      const SharedAccessLock lock(guard);
-      if (writer_in.load()) violations.fetch_add(1);
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&] {
+      for (int i = 0; i < kRounds; ++i) {
+        const ExclusiveAccessLock lock(guard);
+        guard.assert_exclusive_held();
+        if (++inside != 1) violations.fetch_add(1);
+        std::this_thread::yield();
+        --inside;
+      }
     });
   }
-  writer.join();
-  for (auto& th : readers) th.join();
+  for (auto& th : threads) th.join();
   EXPECT_EQ(violations.load(), 0);
 
   const auto snap = guard.snapshot();
-  EXPECT_EQ(snap.exclusive_acquired, 1u);
-  EXPECT_EQ(snap.shared_acquired, 3u);
+  EXPECT_EQ(snap.exclusive_acquired,
+            static_cast<std::uint64_t>(kThreads * kRounds));
 }
 
-TEST(AccessGuardTest, WriterPreferenceBlocksNewReaders) {
+TEST(AccessGuardTest, AssertExclusiveHeldChecksTheOwner) {
   AccessGuard guard;
-  std::atomic<bool> reader_in{false};
-  std::atomic<bool> release_reader{false};
-  std::atomic<bool> writer_done{false};
-  std::atomic<bool> late_reader_done{false};
-
-  std::thread first_reader([&] {
-    const SharedAccessLock lock(guard);
-    reader_in.store(true);
-    while (!release_reader.load()) std::this_thread::yield();
+  guard.assert_exclusive_held();  // unheld: the single-threaded tooling mode
+  std::atomic<bool> held{false};
+  std::atomic<bool> release{false};
+  std::thread owner([&] {
+    const ExclusiveAccessLock lock(guard);
+    guard.assert_exclusive_held();  // held by the calling thread
+    // A helper task acting for the holder, which waits for it to finish
+    // (what plan::run_scheduled does for a parallel level).
+    std::thread helper([&guard, holder = std::this_thread::get_id()] {
+      const sync::ScopedActingThread acting(holder);
+      guard.assert_exclusive_held();
+    });
+    helper.join();
+    held.store(true);
+    while (!release.load()) std::this_thread::yield();
   });
-  while (!reader_in.load()) std::this_thread::yield();
-
-  std::thread writer([&] {
-    const ExclusiveAccessLock lock(guard);  // queues behind first_reader
-    writer_done.store(true);
-  });
-  // Let the writer register as waiting before the late reader arrives.
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-
-  std::thread late_reader([&] {
-    const SharedAccessLock lock(guard);
-    // Writer preference: by the time a post-queue reader gets in, the
-    // queued writer must already have run.
-    EXPECT_TRUE(writer_done.load());
-    late_reader_done.store(true);
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  EXPECT_FALSE(late_reader_done.load());  // still fenced out by the queue
-
-  release_reader.store(true);
-  first_reader.join();
-  writer.join();
-  late_reader.join();
-  EXPECT_TRUE(late_reader_done.load());
+  while (!held.load()) std::this_thread::yield();
+  // Held by another thread: the assertion must fail, not pass vacuously.
+  EXPECT_DEATH(guard.assert_exclusive_held(), "");
+  EXPECT_DEATH(
+      {
+        // Acting for a thread that does not hold the lock changes nothing.
+        const sync::ScopedActingThread acting(std::this_thread::get_id());
+        guard.assert_exclusive_held();
+      },
+      "");
+  release.store(true);
+  owner.join();
+  guard.assert_exclusive_held();  // released again
 }
 
 TEST(AccessGuardTest, MetricsMeterWaitAndHold) {
@@ -198,21 +153,26 @@ TEST(AccessGuardTest, MetricsMeterWaitAndHold) {
     const ExclusiveAccessLock lock(guard);
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
-  {
-    const SharedAccessLock lock(guard);
+  std::atomic<bool> held{false};
+  std::thread holder([&] {
+    const ExclusiveAccessLock lock(guard);
+    held.store(true);
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  });
+  while (!held.load()) std::this_thread::yield();
+  {
+    const ExclusiveAccessLock lock(guard);  // waits out the holder
   }
+  holder.join();
   const auto snap = guard.snapshot();
-  EXPECT_EQ(snap.exclusive_acquired, 1u);
-  EXPECT_EQ(snap.shared_acquired, 1u);
-  EXPECT_GE(snap.exclusive_held_us, 4000u);
-  EXPECT_GE(snap.shared_held_us, 4000u);
+  EXPECT_EQ(snap.exclusive_acquired, 3u);
+  EXPECT_GE(snap.exclusive_held_us, 9000u);
+  EXPECT_GT(snap.exclusive_wait_us, 0u);
+  // No shared mode: the snapshot's shared-side fields stay zero.
+  EXPECT_EQ(snap.shared_acquired, 0u);
+  EXPECT_EQ(snap.shared_held_us, 0u);
+  EXPECT_EQ(snap.peak_concurrent_shared, 0u);
   EXPECT_FALSE(snap.to_string().empty());
-}
-
-TEST(AccessModeTest, Names) {
-  EXPECT_EQ(server::access_mode_name(AccessMode::kShared), "shared");
-  EXPECT_EQ(server::access_mode_name(AccessMode::kExclusive), "exclusive");
 }
 
 }  // namespace
