@@ -108,7 +108,7 @@ BENCHMARK(BM_SnapshotDecode)->Arg(100)->Arg(500)->Arg(2000)
 
 /// WAL append latency. Arg = fsync on append (0/1). The p50/p99 counters
 /// come from the log-scale histogram the store itself maintains, i.e. the
-/// same numbers `\storestats` reports.
+/// same numbers `\stats store.` reports.
 void BM_WalAppend(benchmark::State& state) {
   const bool fsync = state.range(0) != 0;
   const std::string dir = scratch_dir(fsync ? "wal_fsync" : "wal_nofsync");

@@ -31,7 +31,7 @@ r1=$!
 out="$("$shell" --berlin 300 --cluster-coordinator 2 \
   --cluster-port "$port" <<'EOF'
 select * from graph OfferVtx() --product--> ProductVtx() into table res1;
-\clusterstats
+\stats cluster.
 EOF
 )"
 
@@ -43,6 +43,7 @@ echo "$out"
 # The distributed match produced the (deterministic) result table and the
 # stats verb saw both ranks do BSP work.
 grep -q "res1" <<<"$out"
-grep -q "cluster: 2 ranks, 1 jobs" <<<"$out"
-grep -q "rank 1:" <<<"$out"
+grep -q "cluster.num_ranks 2$" <<<"$out"
+grep -q "^cluster.jobs 1$" <<<"$out"
+grep -q "^cluster.rank.1.messages " <<<"$out"
 echo "cluster smoke OK"

@@ -3,11 +3,17 @@
 // (src/store). Bucket i counts samples whose latency in microseconds has
 // bit-width i (i.e. [2^(i-1), 2^i)). 40 buckets cover up to ~12.7 days,
 // so nothing ever clips.
+//
+// Also home of MetricsOf, the constraint every snapshot's metric field
+// list uses (see net/metrics.hpp for the codec and renderer built on
+// those lists).
 #pragma once
 
 #include <array>
+#include <concepts>
 #include <cstddef>
 #include <cstdint>
+#include <type_traits>
 
 namespace gems {
 
@@ -31,6 +37,17 @@ struct LatencyHistogram {
 
   /// Merges another histogram into this one.
   void merge(const LatencyHistogram& other);
+
+  bool operator==(const LatencyHistogram&) const = default;
 };
+
+/// A metrics snapshot declares its fields once, as
+///   template <MetricsOf<Snap> Self, class F>
+///   void for_each_metric(Self& s, F&& f)  // f("epoch.live", s.live) ...
+/// Self is Snap or const Snap, so one list serves the const walks (encode,
+/// render) and the mutable one (decode). Field types are std::uint64_t,
+/// std::uint32_t, bool, double or LatencyHistogram.
+template <class Self, class Snap>
+concept MetricsOf = std::same_as<std::remove_const_t<Self>, Snap>;
 
 }  // namespace gems

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <sstream>
 
 #include "common/check.hpp"
 #include "common/timer.hpp"
@@ -991,17 +990,6 @@ void MatcherMetrics::record(const MatchStats& stats) {
 MatcherMetricsSnapshot MatcherMetrics::snapshot() const {
   sync::MutexLock lock(mutex_);
   return agg_;
-}
-
-std::string MatcherMetricsSnapshot::to_string() const {
-  std::ostringstream os;
-  os << "matcher: queries=" << queries << " passes=" << propagation_passes
-     << " edge_traversals=" << edge_traversals << "\n";
-  os << "parallel: tasks=" << parallel_tasks << " worker_p50_us="
-     << worker_us.quantile_us(0.5) << " worker_p99_us="
-     << worker_us.quantile_us(0.99) << " worker_max_us=" << worker_us.max_us
-     << " merge_ms=" << static_cast<double>(merge_ns) / 1e6 << "\n";
-  return os.str();
 }
 
 }  // namespace gems::exec

@@ -124,7 +124,7 @@ std::vector<std::map<graph::EdgeTypeId, DynamicBitset>> matched_edge_sets(
 // ---- Matcher observability ------------------------------------------------
 
 /// Point-in-time aggregate of matcher activity since the database opened,
-/// the `\matchstats` sibling of store::StoreMetricsSnapshot.
+/// reported under the `matcher.` names of its field list.
 struct MatcherMetricsSnapshot {
   std::uint64_t queries = 0;             // match_network runs recorded
   std::uint64_t propagation_passes = 0;
@@ -133,8 +133,18 @@ struct MatcherMetricsSnapshot {
   std::uint64_t merge_ns = 0;
   LatencyHistogram worker_us;
 
-  std::string to_string() const;
+  bool operator==(const MatcherMetricsSnapshot&) const = default;
 };
+
+template <MetricsOf<MatcherMetricsSnapshot> Self, class F>
+void for_each_metric(Self& s, F&& f) {
+  f("matcher.queries", s.queries);
+  f("matcher.propagation_passes", s.propagation_passes);
+  f("matcher.edge_traversals", s.edge_traversals);
+  f("matcher.parallel_tasks", s.parallel_tasks);
+  f("matcher.merge_ns", s.merge_ns);
+  f("matcher.worker_us", s.worker_us);
+}
 
 /// Thread-safe accumulator, shared by all statements of a database (the
 /// parallel multi-statement scheduler records from several threads).

@@ -1,11 +1,13 @@
 // Epoch lifecycle counters (gems::mvcc), exposed through
-// Database::epoch_stats(), the kStats wire tail and the shell's
-// \epochstats. Small standalone header so src/net can embed a snapshot in
-// its MetricsSnapshot without pulling in the epoch machinery.
+// Database::epoch_metrics() and, under the `epoch.` names of the field
+// list below, the net `stats` verb and the shell's `\stats`. Small
+// standalone header so src/net can embed a snapshot in its
+// MetricsSnapshot without pulling in the epoch machinery.
 #pragma once
 
 #include <cstdint>
-#include <string>
+
+#include "common/histogram.hpp"
 
 namespace gems::mvcc {
 
@@ -24,13 +26,24 @@ struct EpochMetricsSnapshot {
   std::uint64_t rebuild_ns = 0;         // total ns in fallback rebuilds
   std::uint64_t current_epoch = 0;      // id of the current epoch
 
-  bool empty() const {
-    return published == 0 && pins_taken == 0 && delta_ingests == 0 &&
-           full_rebuilds == 0;
-  }
-
-  /// Multi-line human-readable rendering (shell \epochstats).
-  std::string to_string() const;
+  bool operator==(const EpochMetricsSnapshot&) const = default;
 };
+
+template <MetricsOf<EpochMetricsSnapshot> Self, class F>
+void for_each_metric(Self& s, F&& f) {
+  f("epoch.published", s.published);
+  f("epoch.retired", s.retired);
+  f("epoch.freed", s.freed);
+  f("epoch.live", s.live);
+  f("epoch.pins_taken", s.pins_taken);
+  f("epoch.pinned_readers", s.pinned_readers);
+  f("epoch.peak_pinned_readers", s.peak_pinned_readers);
+  f("epoch.oldest_pin_age_us", s.oldest_pin_age_us);
+  f("epoch.delta_ingests", s.delta_ingests);
+  f("epoch.full_rebuilds", s.full_rebuilds);
+  f("epoch.delta_build_ns", s.delta_build_ns);
+  f("epoch.rebuild_ns", s.rebuild_ns);
+  f("epoch.current_epoch", s.current_epoch);
+}
 
 }  // namespace gems::mvcc

@@ -194,7 +194,7 @@ Result<MetricsSnapshot> Client::stats() {
   WireReader reader(response);
   const Status status = decode_status(reader);
   GEMS_RETURN_IF_ERROR(status);
-  return decode_snapshot(
+  return decode_metrics(
       std::span<const std::uint8_t>(response).subspan(reader.position()));
 }
 

@@ -1,9 +1,25 @@
 #include "net/metrics.hpp"
 
 #include <algorithm>
-#include <sstream>
+#include <bit>
+#include <charconv>
+#include <cstdio>
+#include <cstring>
+#include <limits>
+#include <optional>
+#include <type_traits>
+#include <unordered_map>
+#include <variant>
 
 namespace gems::net {
+
+std::string verb_metric_prefix(Verb verb) {
+  std::string prefix = "net." + std::string(verb_name(verb)) + ".";
+  for (char& c : prefix) {
+    if (c == '-') c = '_';
+  }
+  return prefix;
+}
 
 VerbMetrics MetricsSnapshot::total() const {
   VerbMetrics t;
@@ -16,210 +32,216 @@ VerbMetrics MetricsSnapshot::total() const {
     t.cancelled += v.cancelled;
     t.bytes_in += v.bytes_in;
     t.bytes_out += v.bytes_out;
-    for (std::size_t i = 0; i < LatencyHistogram::kBuckets; ++i) {
-      t.queue_wait.buckets[i] += v.queue_wait.buckets[i];
-      t.execute.buckets[i] += v.execute.buckets[i];
-    }
-    t.queue_wait.count += v.queue_wait.count;
-    t.queue_wait.sum_us += v.queue_wait.sum_us;
-    t.queue_wait.max_us = std::max(t.queue_wait.max_us, v.queue_wait.max_us);
-    t.execute.count += v.execute.count;
-    t.execute.sum_us += v.execute.sum_us;
-    t.execute.max_us = std::max(t.execute.max_us, v.execute.max_us);
+    t.queue_wait.merge(v.queue_wait);
+    t.execute.merge(v.execute);
   }
   return t;
 }
 
-std::string MetricsSnapshot::to_string() const {
-  std::ostringstream out;
-  out << "verb         reqs     ok    err  over  expd  canc   "
-         "bytes_in  bytes_out  queue p50/p99 us  exec p50/p99 us\n";
-  for (std::size_t i = 0; i < kNumVerbs; ++i) {
-    const VerbMetrics& v = verbs[i];
-    if (v.requests == 0) continue;
-    char line[192];
-    std::snprintf(
-        line, sizeof(line),
-        "%-10s %6llu %6llu %6llu %5llu %5llu %5llu %10llu %10llu "
-        "%7llu/%-7llu %7llu/%-7llu\n",
-        std::string(verb_name(static_cast<Verb>(i))).c_str(),
-        static_cast<unsigned long long>(v.requests),
-        static_cast<unsigned long long>(v.ok),
-        static_cast<unsigned long long>(v.errors),
-        static_cast<unsigned long long>(v.overloaded),
-        static_cast<unsigned long long>(v.expired),
-        static_cast<unsigned long long>(v.cancelled),
-        static_cast<unsigned long long>(v.bytes_in),
-        static_cast<unsigned long long>(v.bytes_out),
-        static_cast<unsigned long long>(v.queue_wait.quantile_us(0.5)),
-        static_cast<unsigned long long>(v.queue_wait.quantile_us(0.99)),
-        static_cast<unsigned long long>(v.execute.quantile_us(0.5)),
-        static_cast<unsigned long long>(v.execute.quantile_us(0.99)));
-    out << line;
-  }
-  if (access.exclusive_acquired > 0) {
-    out << access.to_string();
-  }
-  if (cluster.num_ranks > 0) {
-    out << cluster.to_string();
-  }
-  if (!epoch.empty()) {
-    out << epoch.to_string() << "\n";
-  }
-  return out.str();
+MetricsSnapshot database_metrics(const server::Database& db) {
+  MetricsSnapshot snap;
+  snap.access = db.access_metrics();
+  snap.cluster = db.cluster_metrics();
+  snap.epoch = db.epoch_metrics();
+  snap.store = db.store_metrics();
+  snap.matcher = db.match_metrics();
+  return snap;
 }
 
 namespace {
 
-void encode_histogram(const LatencyHistogram& h, WireWriter& w) {
-  w.u64(h.count);
-  w.u64(h.sum_us);
-  w.u64(h.max_us);
-  w.u32(static_cast<std::uint32_t>(LatencyHistogram::kBuckets));
-  for (const std::uint64_t b : h.buckets) w.u64(b);
+enum class MetricKind : std::uint8_t { kU64 = 0, kF64 = 1, kHistogram = 2 };
+
+/// u32 and bool fields travel as u64.
+template <class T>
+constexpr MetricKind kind_of() {
+  if constexpr (std::is_same_v<T, LatencyHistogram>) {
+    return MetricKind::kHistogram;
+  } else if constexpr (std::is_same_v<T, double>) {
+    return MetricKind::kF64;
+  } else {
+    return MetricKind::kU64;
+  }
 }
 
-Result<LatencyHistogram> decode_histogram(WireReader& r) {
-  LatencyHistogram h;
-  GEMS_ASSIGN_OR_RETURN(h.count, r.u64());
-  GEMS_ASSIGN_OR_RETURN(h.sum_us, r.u64());
-  GEMS_ASSIGN_OR_RETURN(h.max_us, r.u64());
-  GEMS_ASSIGN_OR_RETURN(std::uint32_t n, r.count("histogram buckets"));
-  for (std::uint32_t i = 0; i < n; ++i) {
-    GEMS_ASSIGN_OR_RETURN(std::uint64_t b, r.u64());
-    // Tolerate a peer with more/fewer buckets: clamp into ours.
-    h.buckets[std::min<std::size_t>(i, LatencyHistogram::kBuckets - 1)] += b;
+/// Decoder bound on `cluster.rank.<r>.*` indexes besides
+/// `cluster.num_ranks`, which is peer-supplied too.
+constexpr std::size_t kMaxRanks = 4096;
+
+/// One field of the snapshot being decoded.
+using Slot = std::variant<std::uint64_t*, std::uint32_t*, bool*, double*,
+                          LatencyHistogram*>;
+
+Status malformed(const std::string& what, std::size_t at) {
+  return parse_error("malformed stats: " + what + " at byte offset " +
+                     std::to_string(at));
+}
+
+template <class T>
+void encode_value(WireWriter& w, const T& field) {
+  w.u8(static_cast<std::uint8_t>(kind_of<T>()));
+  if constexpr (std::is_same_v<T, LatencyHistogram>) {
+    w.u64(field.count);
+    w.u64(field.sum_us);
+    w.u64(field.max_us);
+    w.u32(static_cast<std::uint32_t>(LatencyHistogram::kBuckets));
+    for (const std::uint64_t b : field.buckets) w.u64(b);
+  } else if constexpr (std::is_same_v<T, double>) {
+    w.u64(std::bit_cast<std::uint64_t>(field));
+  } else {
+    w.u64(static_cast<std::uint64_t>(field));
   }
-  return h;
+}
+
+/// Reads the value of a sample of `kind` into `field`, whose type must
+/// carry that kind.
+template <class T>
+Status decode_value(WireReader& r, MetricKind kind, T& field,
+                    const std::string& name, std::size_t at) {
+  if (kind != kind_of<T>()) return malformed("metric " + name + " kind", at);
+  if constexpr (std::is_same_v<T, LatencyHistogram>) {
+    GEMS_ASSIGN_OR_RETURN(field.count, r.u64());
+    GEMS_ASSIGN_OR_RETURN(field.sum_us, r.u64());
+    GEMS_ASSIGN_OR_RETURN(field.max_us, r.u64());
+    GEMS_ASSIGN_OR_RETURN(std::uint32_t n, r.count("histogram buckets"));
+    for (std::uint32_t i = 0; i < n; ++i) {
+      GEMS_ASSIGN_OR_RETURN(std::uint64_t b, r.u64());
+      // Tolerate a peer with more/fewer buckets: clamp into ours.
+      field.buckets[std::min<std::size_t>(i, LatencyHistogram::kBuckets - 1)] +=
+          b;
+    }
+  } else {
+    GEMS_ASSIGN_OR_RETURN(std::uint64_t bits, r.u64());
+    if constexpr (std::is_same_v<T, double>) {
+      field = std::bit_cast<double>(bits);
+    } else if constexpr (std::is_same_v<T, bool>) {
+      field = bits != 0;
+    } else {
+      if (bits > std::numeric_limits<T>::max()) {
+        return malformed("metric " + name + " out of range", at);
+      }
+      field = static_cast<T>(bits);
+    }
+  }
+  return Status::ok();
+}
+
+/// `cluster.rank.<r>.<field>`: checks r against `cluster.num_ranks` (which
+/// the encoder sends first) and kMaxRanks, grows the rank vector to hold
+/// it, and returns the field — no slot for an unknown field name.
+Result<std::optional<Slot>> rank_slot(server::ClusterMetricsSnapshot& cluster,
+                                      std::string_view name, std::size_t at) {
+  name.remove_prefix(server::kClusterRankPrefix.size());
+  const char* const last = name.data() + name.size();
+  std::size_t r = 0;
+  const auto [dot, ec] = std::from_chars(name.data(), last, r);
+  if (ec == std::errc::invalid_argument || dot == last || *dot != '.') {
+    return std::optional<Slot>{};
+  }
+  if (ec != std::errc{} ||
+      r >= std::min<std::size_t>(cluster.num_ranks, kMaxRanks)) {
+    return malformed("cluster rank index " +
+                         std::string(name.data(), dot) +
+                         " out of range (cluster.num_ranks " +
+                         std::to_string(cluster.num_ranks) + ", cap " +
+                         std::to_string(kMaxRanks) + ")",
+                     at);
+  }
+  if (r >= cluster.ranks.size()) cluster.ranks.resize(r + 1);
+  const std::string_view field_name(dot + 1, last);
+  std::optional<Slot> slot;
+  for_each_metric(cluster.ranks[r], [&](std::string_view n, auto& field) {
+    if (n == field_name) slot = &field;
+  });
+  return slot;
 }
 
 }  // namespace
 
-void encode_snapshot(const MetricsSnapshot& snap,
-                     std::vector<std::uint8_t>& out) {
+void encode_metrics(const MetricsSnapshot& snap,
+                    std::vector<std::uint8_t>& out) {
   WireWriter w;
-  w.u32(static_cast<std::uint32_t>(kNumVerbs));
-  for (const auto& v : snap.verbs) {
-    w.u64(v.requests);
-    w.u64(v.ok);
-    w.u64(v.errors);
-    w.u64(v.overloaded);
-    w.u64(v.expired);
-    w.u64(v.cancelled);
-    w.u64(v.bytes_in);
-    w.u64(v.bytes_out);
-    encode_histogram(v.queue_wait, w);
-    encode_histogram(v.execute, w);
-  }
-  // Access-layer counters ride at the tail: old decoders stop before them
-  // (the snapshot decode has always tolerated trailing bytes), so this is
-  // wire-compatible without a version bump. The shared-side slots are
-  // always 0 (the guard is exclusive-only) but keep the block's layout.
-  w.u64(snap.access.shared_acquired);
-  w.u64(snap.access.exclusive_acquired);
-  w.u64(snap.access.shared_wait_us);
-  w.u64(snap.access.exclusive_wait_us);
-  w.u64(snap.access.shared_held_us);
-  w.u64(snap.access.exclusive_held_us);
-  w.u64(snap.access.peak_concurrent_shared);
-  // The cluster block follows the access block at the tail, same
-  // compatibility contract (tolerant trailing decode, no version bump).
-  w.u32(snap.cluster.num_ranks);
-  w.u64(snap.cluster.jobs);
-  w.u64(snap.cluster.fallbacks);
-  w.u64(snap.cluster.syncs);
-  w.u64(snap.cluster.sync_bytes);
-  w.u32(static_cast<std::uint32_t>(snap.cluster.ranks.size()));
-  for (const auto& m : snap.cluster.ranks) {
-    w.boolean(m.connected);
-    w.u64(m.jobs);
-    w.u64(m.messages);
-    w.u64(m.payload_bytes);
-    w.u64(m.wire_bytes);
-    w.u64(m.supersteps);
-    w.u64(m.stall_us);
-  }
-  // The epoch block (gems::mvcc) follows the cluster block at the tail,
-  // same compatibility contract.
-  w.u64(snap.epoch.published);
-  w.u64(snap.epoch.retired);
-  w.u64(snap.epoch.freed);
-  w.u64(snap.epoch.live);
-  w.u64(snap.epoch.pins_taken);
-  w.u64(snap.epoch.pinned_readers);
-  w.u64(snap.epoch.peak_pinned_readers);
-  w.u64(snap.epoch.oldest_pin_age_us);
-  w.u64(snap.epoch.delta_ingests);
-  w.u64(snap.epoch.full_rebuilds);
-  w.u64(snap.epoch.delta_build_ns);
-  w.u64(snap.epoch.rebuild_ns);
-  w.u64(snap.epoch.current_epoch);
+  w.u32(0);  // sample count, patched below
+  std::uint32_t n = 0;
+  for_each_metric(snap, [&](std::string_view name, const auto& field) {
+    w.str(name);
+    encode_value(w, field);
+    ++n;
+  });
   std::vector<std::uint8_t> bytes = w.take();
+  std::memcpy(bytes.data(), &n, sizeof(n));
   out.insert(out.end(), bytes.begin(), bytes.end());
 }
 
-Result<MetricsSnapshot> decode_snapshot(std::span<const std::uint8_t> bytes) {
-  WireReader r(bytes);
-  GEMS_ASSIGN_OR_RETURN(std::uint32_t n, r.count("verb metrics"));
+Result<MetricsSnapshot> decode_metrics(std::span<const std::uint8_t> bytes) {
   MetricsSnapshot snap;
+  // Every fixed field by name. Rank fields are resolved per sample: the
+  // rank vector is still empty here and grows as rank samples arrive.
+  std::unordered_map<std::string, Slot> slots;
+  for_each_metric(snap, [&](std::string_view name, auto& field) {
+    slots.emplace(name, &field);
+  });
+  WireReader r(bytes);
+  GEMS_ASSIGN_OR_RETURN(std::uint32_t n, r.count("metric samples"));
   for (std::uint32_t i = 0; i < n; ++i) {
-    VerbMetrics scratch;
-    VerbMetrics& v = i < kNumVerbs ? snap.verbs[i] : scratch;
-    GEMS_ASSIGN_OR_RETURN(v.requests, r.u64());
-    GEMS_ASSIGN_OR_RETURN(v.ok, r.u64());
-    GEMS_ASSIGN_OR_RETURN(v.errors, r.u64());
-    GEMS_ASSIGN_OR_RETURN(v.overloaded, r.u64());
-    GEMS_ASSIGN_OR_RETURN(v.expired, r.u64());
-    GEMS_ASSIGN_OR_RETURN(v.cancelled, r.u64());
-    GEMS_ASSIGN_OR_RETURN(v.bytes_in, r.u64());
-    GEMS_ASSIGN_OR_RETURN(v.bytes_out, r.u64());
-    GEMS_ASSIGN_OR_RETURN(v.queue_wait, decode_histogram(r));
-    GEMS_ASSIGN_OR_RETURN(v.execute, decode_histogram(r));
-  }
-  if (!r.at_end()) {
-    GEMS_ASSIGN_OR_RETURN(snap.access.shared_acquired, r.u64());
-    GEMS_ASSIGN_OR_RETURN(snap.access.exclusive_acquired, r.u64());
-    GEMS_ASSIGN_OR_RETURN(snap.access.shared_wait_us, r.u64());
-    GEMS_ASSIGN_OR_RETURN(snap.access.exclusive_wait_us, r.u64());
-    GEMS_ASSIGN_OR_RETURN(snap.access.shared_held_us, r.u64());
-    GEMS_ASSIGN_OR_RETURN(snap.access.exclusive_held_us, r.u64());
-    GEMS_ASSIGN_OR_RETURN(snap.access.peak_concurrent_shared, r.u64());
-  }
-  if (!r.at_end()) {
-    GEMS_ASSIGN_OR_RETURN(snap.cluster.num_ranks, r.u32());
-    GEMS_ASSIGN_OR_RETURN(snap.cluster.jobs, r.u64());
-    GEMS_ASSIGN_OR_RETURN(snap.cluster.fallbacks, r.u64());
-    GEMS_ASSIGN_OR_RETURN(snap.cluster.syncs, r.u64());
-    GEMS_ASSIGN_OR_RETURN(snap.cluster.sync_bytes, r.u64());
-    GEMS_ASSIGN_OR_RETURN(std::uint32_t n_ranks, r.count("cluster ranks"));
-    snap.cluster.ranks.resize(n_ranks);
-    for (std::uint32_t i = 0; i < n_ranks; ++i) {
-      server::ClusterRankMetrics& m = snap.cluster.ranks[i];
-      GEMS_ASSIGN_OR_RETURN(m.connected, r.boolean());
-      GEMS_ASSIGN_OR_RETURN(m.jobs, r.u64());
-      GEMS_ASSIGN_OR_RETURN(m.messages, r.u64());
-      GEMS_ASSIGN_OR_RETURN(m.payload_bytes, r.u64());
-      GEMS_ASSIGN_OR_RETURN(m.wire_bytes, r.u64());
-      GEMS_ASSIGN_OR_RETURN(m.supersteps, r.u64());
-      GEMS_ASSIGN_OR_RETURN(m.stall_us, r.u64());
+    const std::size_t at = r.position();
+    GEMS_ASSIGN_OR_RETURN(std::string name, r.str());
+    GEMS_ASSIGN_OR_RETURN(std::uint8_t kind_byte, r.u8());
+    const auto kind = static_cast<MetricKind>(kind_byte);
+    if (kind_byte > static_cast<std::uint8_t>(MetricKind::kHistogram)) {
+      return malformed("unknown metric kind " + std::to_string(kind_byte), at);
     }
+    std::optional<Slot> slot;
+    if (const auto it = slots.find(name); it != slots.end()) {
+      slot = it->second;
+    } else if (name.starts_with(server::kClusterRankPrefix)) {
+      GEMS_ASSIGN_OR_RETURN(slot, rank_slot(snap.cluster, name, at));
+    }
+    // An unknown name still has to be read past: into a scratch field of
+    // the sample's own kind.
+    std::uint64_t u64_scratch = 0;
+    double f64_scratch = 0;
+    LatencyHistogram histogram_scratch;
+    if (!slot) {
+      slot = kind == MetricKind::kU64   ? Slot(&u64_scratch)
+             : kind == MetricKind::kF64 ? Slot(&f64_scratch)
+                                        : Slot(&histogram_scratch);
+    }
+    GEMS_RETURN_IF_ERROR(std::visit(
+        [&](auto* field) { return decode_value(r, kind, *field, name, at); },
+        *slot));
   }
   if (!r.at_end()) {
-    GEMS_ASSIGN_OR_RETURN(snap.epoch.published, r.u64());
-    GEMS_ASSIGN_OR_RETURN(snap.epoch.retired, r.u64());
-    GEMS_ASSIGN_OR_RETURN(snap.epoch.freed, r.u64());
-    GEMS_ASSIGN_OR_RETURN(snap.epoch.live, r.u64());
-    GEMS_ASSIGN_OR_RETURN(snap.epoch.pins_taken, r.u64());
-    GEMS_ASSIGN_OR_RETURN(snap.epoch.pinned_readers, r.u64());
-    GEMS_ASSIGN_OR_RETURN(snap.epoch.peak_pinned_readers, r.u64());
-    GEMS_ASSIGN_OR_RETURN(snap.epoch.oldest_pin_age_us, r.u64());
-    GEMS_ASSIGN_OR_RETURN(snap.epoch.delta_ingests, r.u64());
-    GEMS_ASSIGN_OR_RETURN(snap.epoch.full_rebuilds, r.u64());
-    GEMS_ASSIGN_OR_RETURN(snap.epoch.delta_build_ns, r.u64());
-    GEMS_ASSIGN_OR_RETURN(snap.epoch.rebuild_ns, r.u64());
-    GEMS_ASSIGN_OR_RETURN(snap.epoch.current_epoch, r.u64());
+    return malformed(std::to_string(r.remaining()) + " trailing bytes",
+                     r.position());
   }
   return snap;
+}
+
+std::string render(const MetricsSnapshot& snap, std::string_view prefix) {
+  std::string out;
+  for_each_metric(snap, [&](std::string_view name, const auto& field) {
+    using T = std::remove_cvref_t<decltype(field)>;
+    if (!name.starts_with(prefix)) return;
+    char value[96];
+    if constexpr (std::is_same_v<T, LatencyHistogram>) {
+      if (field.count == 0) return;
+      std::snprintf(value, sizeof(value), "%llu/%llu/%llu/%llu",
+                    static_cast<unsigned long long>(field.count),
+                    static_cast<unsigned long long>(field.quantile_us(0.5)),
+                    static_cast<unsigned long long>(field.quantile_us(0.99)),
+                    static_cast<unsigned long long>(field.max_us));
+    } else if constexpr (std::is_same_v<T, double>) {
+      if (field == 0.0) return;
+      std::snprintf(value, sizeof(value), "%g", field);
+    } else {
+      if (field == 0) return;
+      std::snprintf(value, sizeof(value), "%llu",
+                    static_cast<unsigned long long>(field));
+    }
+    out.append(name).append(" ").append(value).append("\n");
+  });
+  return out;
 }
 
 void MetricsRegistry::record(Verb verb, const Outcome& outcome) {

@@ -239,7 +239,7 @@ void Server::session_loop(const std::shared_ptr<SessionConn>& session) {
       }
       case Verb::kStats: {
         std::vector<std::uint8_t> body;
-        encode_snapshot(metrics_snapshot(), body);
+        encode_metrics(metrics_snapshot(), body);
         const MetricsRegistry::Outcome outcome{StatusCode::kOk, bytes_in, 0,
                                                0, 0};
         respond(*session, header.verb, header.request_id, Status::ok(), body,

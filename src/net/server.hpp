@@ -75,13 +75,11 @@ class Server {
 
   bool running() const { return running_.load(std::memory_order_acquire); }
 
-  /// Live request counters/latency with the database's access-layer
-  /// counters merged in; also served remotely via kStats.
+  /// The database's metrics blocks plus live request counters/latency;
+  /// also served remotely via kStats.
   MetricsSnapshot metrics_snapshot() const {
-    MetricsSnapshot snap = metrics_.snapshot();
-    snap.access = db_.access_metrics();
-    snap.cluster = db_.cluster_metrics();
-    snap.epoch = db_.epoch_metrics();
+    MetricsSnapshot snap = database_metrics(db_);
+    snap.verbs = metrics_.snapshot().verbs;
     return snap;
   }
   MetricsRegistry& metrics() { return metrics_; }

@@ -7,7 +7,7 @@
 //
 // Frame layout (little-endian, matching the IR):
 //   u32 magic      "GNET" (0x474E4554)
-//   u16 version    wire protocol version (1)
+//   u16 version    wire protocol version (2)
 //   u8  verb       request verb (also echoed on the response)
 //   u8  flags      bit 0: response
 //   u64 request_id client-assigned, echoed on the response
@@ -34,7 +34,7 @@
 namespace gems::net {
 
 inline constexpr std::uint32_t kFrameMagic = 0x474E4554;  // "GNET"
-inline constexpr std::uint16_t kWireVersion = 1;
+inline constexpr std::uint16_t kWireVersion = 2;
 inline constexpr std::size_t kFrameHeaderBytes = 20;
 /// Default frame budget: the largest payload either side will accept.
 inline constexpr std::size_t kDefaultMaxFrameBytes = 64u << 20;

@@ -1,7 +1,5 @@
 #include "server/access.hpp"
 
-#include <sstream>
-
 #include "common/check.hpp"
 
 namespace gems::server {
@@ -17,18 +15,6 @@ std::uint64_t elapsed_us(Clock::time_point from, Clock::time_point to) {
 }
 
 }  // namespace
-
-std::string AccessMetricsSnapshot::to_string() const {
-  auto avg = [](std::uint64_t total_us, std::uint64_t n) {
-    return n == 0 ? 0ull : total_us / n;
-  };
-  std::ostringstream out;
-  out << "access  exclusive: " << exclusive_acquired
-      << " acquisitions, avg wait "
-      << avg(exclusive_wait_us, exclusive_acquired) << " us, avg hold "
-      << avg(exclusive_held_us, exclusive_acquired) << " us\n";
-  return out.str();
-}
 
 void AccessGuard::lock() {
   const Clock::time_point requested = Clock::now();

@@ -6,7 +6,8 @@
 //
 // The guard meters itself: acquisition count, time spent blocked waiting
 // for the lock and time spent holding it. Those counters surface in
-// Database metrics, the net `stats` verb, and the shell's `\accessstats`.
+// Database::access_metrics() and, as `access.*`, in the net `stats` verb
+// and the shell's `\stats`.
 //
 // Lock order (see DESIGN.md §5j): the access guard is always the
 // *outermost* database lock; `stats_mutex_` and `wal_mutex_` are only
@@ -24,33 +25,35 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <string>
 #include <thread>
 
+#include "common/histogram.hpp"
 #include "common/sync.hpp"
 
 namespace gems::server {
 
 /// Point-in-time view of the guard's counters. All durations are
-/// microseconds, aggregated since database open.
-///
-/// The shared-side fields (shared_acquired, shared_wait_us,
-/// shared_held_us, peak_concurrent_shared) are always 0: the guard has no
-/// shared mode any more. They stay so the snapshot type and the `kStats`
-/// wire block keep their layout; read concurrency shows in the epoch
-/// block (mvcc::EpochMetricsSnapshot::pins_taken, peak_pinned_readers).
+/// microseconds, aggregated since database open. Read concurrency shows
+/// in the epoch block (mvcc::EpochMetricsSnapshot::pins_taken,
+/// peak_pinned_readers), not here.
 struct AccessMetricsSnapshot {
+  /// Always 0: the guard has no shared mode. Kept because the end-to-end
+  /// benchmark's output check asserts it stays 0.
   std::uint64_t shared_acquired = 0;
   std::uint64_t exclusive_acquired = 0;
-  std::uint64_t shared_wait_us = 0;
   std::uint64_t exclusive_wait_us = 0;  // total time blocked acquiring
-  std::uint64_t shared_held_us = 0;
   std::uint64_t exclusive_held_us = 0;  // total time held
-  std::uint64_t peak_concurrent_shared = 0;
 
-  /// Human-readable `\accessstats` rendering.
-  std::string to_string() const;
+  bool operator==(const AccessMetricsSnapshot&) const = default;
 };
+
+template <MetricsOf<AccessMetricsSnapshot> Self, class F>
+void for_each_metric(Self& s, F&& f) {
+  f("access.shared_acquired", s.shared_acquired);
+  f("access.exclusive_acquired", s.exclusive_acquired);
+  f("access.exclusive_wait_us", s.exclusive_wait_us);
+  f("access.exclusive_held_us", s.exclusive_held_us);
+}
 
 /// An exclusive lock with wait/hold-time accounting and owner tracking.
 /// Counter updates are relaxed atomics: they order nothing, they only

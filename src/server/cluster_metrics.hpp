@@ -3,17 +3,14 @@
 // coordinator-side job/sync totals. Lives in server/ (not cluster/) so the
 // net layer can ship it through the stats verb without depending on the
 // cluster subsystem — net already links server.
-//
-// Wire compatibility: the snapshot travels at the *tail* of the kStats
-// response payload (after the access counters). Old peers ignore trailing
-// bytes; new peers tolerate their absence — same discipline as the access
-// block, so kWireVersion stays at 1.
 #pragma once
 
 #include <cstdint>
-#include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
+
+#include "common/histogram.hpp"
 
 namespace gems::server {
 
@@ -25,7 +22,22 @@ struct ClusterRankMetrics {
   std::uint64_t wire_bytes = 0;     // frame bytes incl. headers
   std::uint64_t supersteps = 0;     // counted on rank 0 only
   std::uint64_t stall_us = 0;       // blocked waiting on the wire
+
+  bool operator==(const ClusterRankMetrics&) const = default;
 };
+
+/// Field names within one rank; the cluster list below qualifies them as
+/// `cluster.rank.<r>.<name>`.
+template <MetricsOf<ClusterRankMetrics> Self, class F>
+void for_each_metric(Self& s, F&& f) {
+  f("connected", s.connected);
+  f("jobs", s.jobs);
+  f("messages", s.messages);
+  f("payload_bytes", s.payload_bytes);
+  f("wire_bytes", s.wire_bytes);
+  f("supersteps", s.supersteps);
+  f("stall_us", s.stall_us);
+}
 
 struct ClusterMetricsSnapshot {
   std::uint32_t num_ranks = 0;  // 0 = no cluster attached
@@ -33,27 +45,27 @@ struct ClusterMetricsSnapshot {
   std::uint64_t fallbacks = 0;  // networks declined (ran locally)
   std::uint64_t syncs = 0;      // state images shipped to ranks
   std::uint64_t sync_bytes = 0;
-  std::vector<ClusterRankMetrics> ranks;
+  std::vector<ClusterRankMetrics> ranks;  // one per rank, num_ranks long
 
-  std::string to_string() const {
-    std::ostringstream out;
-    if (num_ranks == 0) {
-      out << "cluster: not attached\n";
-      return out.str();
-    }
-    out << "cluster: " << num_ranks << " ranks, " << jobs << " jobs, "
-        << fallbacks << " local fallbacks, " << syncs << " syncs ("
-        << sync_bytes << " bytes)\n";
-    for (std::size_t r = 0; r < ranks.size(); ++r) {
-      const ClusterRankMetrics& m = ranks[r];
-      out << "  rank " << r << (m.connected ? "" : " [down]") << ": "
-          << m.jobs << " jobs, " << m.messages << " msgs, "
-          << m.payload_bytes << " payload B, " << m.wire_bytes
-          << " wire B, " << m.supersteps << " supersteps, " << m.stall_us
-          << " us stalled\n";
-    }
-    return out.str();
-  }
+  bool operator==(const ClusterMetricsSnapshot&) const = default;
 };
+
+inline constexpr std::string_view kClusterRankPrefix = "cluster.rank.";
+
+template <MetricsOf<ClusterMetricsSnapshot> Self, class F>
+void for_each_metric(Self& s, F&& f) {
+  f("cluster.num_ranks", s.num_ranks);
+  f("cluster.jobs", s.jobs);
+  f("cluster.fallbacks", s.fallbacks);
+  f("cluster.syncs", s.syncs);
+  f("cluster.sync_bytes", s.sync_bytes);
+  for (std::size_t r = 0; r < s.ranks.size(); ++r) {
+    const std::string prefix =
+        std::string(kClusterRankPrefix) + std::to_string(r) + ".";
+    for_each_metric(s.ranks[r], [&](std::string_view name, auto& field) {
+      f(prefix + std::string(name), field);
+    });
+  }
+}
 
 }  // namespace gems::server

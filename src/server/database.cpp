@@ -225,24 +225,8 @@ store::StoreMetricsSnapshot Database::store_metrics() const {
   return store_->metrics().snapshot();
 }
 
-std::string Database::store_stats() const {
-  if (store_ == nullptr) {
-    std::string out = "no persistent store";
-    const Status status = store_status();
-    if (!status.is_ok()) {
-      out += " (open failed: " + status.to_string() + ")";
-    }
-    return out;
-  }
-  return store_->metrics().snapshot().to_string();
-}
-
 exec::MatcherMetricsSnapshot Database::match_metrics() const {
   return ctx_.matcher_metrics->snapshot();
-}
-
-std::string Database::match_stats() const {
-  return ctx_.matcher_metrics->snapshot().to_string();
 }
 
 std::shared_ptr<const plan::GraphStats> Database::cached_stats() {
@@ -613,8 +597,7 @@ std::vector<CatalogEntry> Database::catalog_from(
   return entries;
 }
 
-std::string Database::catalog_summary() const {
-  const mvcc::EpochPin pin = epochs_.pin();
+std::string render_catalog(const std::vector<CatalogEntry>& entries) {
   std::ostringstream out;
   auto kind_name = [](CatalogEntry::Kind k) {
     switch (k) {
@@ -629,13 +612,17 @@ std::string Database::catalog_summary() const {
     }
     return "?";
   };
-  for (const auto& e : catalog_from(pin.ctx())) {
+  for (const auto& e : entries) {
     out << kind_name(e.kind) << "  " << e.name << "  " << e.instances
         << " instances";
     if (e.byte_size > 0) out << ", " << e.byte_size << " bytes";
     out << "\n";
   }
   return out.str();
+}
+
+std::string Database::catalog_summary() const {
+  return render_catalog(catalog());
 }
 
 }  // namespace gems::server

@@ -89,6 +89,10 @@ struct CatalogEntry {
   std::size_t byte_size = 0;   // storage footprint (tables only)
 };
 
+/// One line per entry (`kind  name  N instances[, B bytes]`): the
+/// shell's `\catalog`, for local and remote catalogs alike.
+std::string render_catalog(const std::vector<CatalogEntry>& entries);
+
 class Database {
  public:
   explicit Database(DatabaseOptions options = {});
@@ -174,7 +178,7 @@ class Database {
   /// All catalog objects with sizes, sorted by name within kind.
   std::vector<CatalogEntry> catalog() const;
 
-  /// Human-readable catalog dump.
+  /// Human-readable catalog dump: render_catalog(catalog()).
   std::string catalog_summary() const;
 
   /// Snapshot of the live state as an analyzer catalog (the front-end's
@@ -208,9 +212,6 @@ class Database {
   /// Recovery info from open (zeroed for in-memory databases).
   store::StoreMetricsSnapshot store_metrics() const;
 
-  /// Human-readable `\storestats` rendering.
-  std::string store_stats() const;
-
   // ---- Matcher observability -------------------------------------------
   /// Aggregate matcher activity since open (fixpoint passes, edge
   /// traversals, parallel task/merge accounting).
@@ -221,20 +222,11 @@ class Database {
   exec::MatcherMetricsSnapshot match_metrics() const
       GEMS_NO_THREAD_SAFETY_ANALYSIS;
 
-  /// Human-readable `\matchstats` rendering. Same waiver as above.
-  std::string match_stats() const GEMS_NO_THREAD_SAFETY_ANALYSIS;
-
   // ---- Access-layer observability --------------------------------------
-  /// Writer-lock acquisition, wait and hold counters since open (the
-  /// snapshot's shared-side fields are always 0).
+  /// Writer-lock acquisition, wait and hold counters since open.
+  /// Read-only scripts never touch the lock — they pin epochs, which is
+  /// where their activity shows up (epoch_metrics()).
   AccessMetricsSnapshot access_metrics() const { return access_.snapshot(); }
-
-  /// Human-readable `\accessstats` rendering: writer-lock counters plus
-  /// the epoch lifecycle block (read-only scripts never touch the lock —
-  /// they pin epochs, which is where their activity shows up).
-  std::string access_stats() const {
-    return access_.snapshot().to_string() + "\n" + epoch_stats();
-  }
 
   // ---- Epoch observability (gems::mvcc) ---------------------------------
   /// Epoch lifecycle counters: publish/retire/free, pin activity, and the
@@ -242,9 +234,6 @@ class Database {
   mvcc::EpochMetricsSnapshot epoch_metrics() const {
     return epochs_.snapshot();
   }
-
-  /// Human-readable `\epochstats` rendering.
-  std::string epoch_stats() const { return epochs_.snapshot().to_string(); }
 
   /// Pins the current epoch (RAII). Test and tooling hook: the returned
   /// pin keeps that database state alive and byte-stable across any
@@ -274,9 +263,6 @@ class Database {
   /// Per-rank communication counters from the attached coordinator
   /// (zeroed snapshot when no cluster is attached).
   ClusterMetricsSnapshot cluster_metrics() const;
-
-  /// Human-readable `\clusterstats` rendering.
-  std::string cluster_stats() const { return cluster_metrics().to_string(); }
 
  private:
   /// Shared back half of run_script / run_ir: analyze (unless skipped),

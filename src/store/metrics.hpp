@@ -1,12 +1,10 @@
 // Per-operation metrics for the durability layer: WAL append latency
 // (p50/p99 via the shared log-scale histogram), snapshot sizes and write
-// times, and recovery replay counts. Mirrors the wire layer's per-verb
-// metrics (net/metrics.hpp) so `\storestats` in the shell reads like
-// `\stats`.
+// times, and recovery replay counts. Reported under the `store.` names of
+// the field list below by the net `stats` verb and the shell's `\stats`.
 #pragma once
 
 #include <cstdint>
-#include <string>
 
 #include "common/histogram.hpp"
 #include "common/sync.hpp"
@@ -32,9 +30,26 @@ struct StoreMetricsSnapshot {
   std::uint64_t recovery_truncated_bytes = 0;
   double recovery_replay_seconds = 0.0;
 
-  /// Multi-line human-readable rendering for the shell.
-  std::string to_string() const;
+  bool operator==(const StoreMetricsSnapshot&) const = default;
 };
+
+template <MetricsOf<StoreMetricsSnapshot> Self, class F>
+void for_each_metric(Self& s, F&& f) {
+  f("store.wal_records", s.wal_records);
+  f("store.wal_bytes", s.wal_bytes);
+  f("store.wal_append_us", s.wal_append_us);
+  f("store.snapshots_written", s.snapshots_written);
+  f("store.snapshot_bytes_last", s.snapshot_bytes_last);
+  f("store.snapshot_write_us", s.snapshot_write_us);
+  f("store.recovered", s.recovered);
+  f("store.recovered_from_snapshot", s.recovered_from_snapshot);
+  f("store.recovery_snapshot_bytes", s.recovery_snapshot_bytes);
+  f("store.recovery_snapshot_seconds", s.recovery_snapshot_seconds);
+  f("store.recovery_records_applied", s.recovery_records_applied);
+  f("store.recovery_records_skipped", s.recovery_records_skipped);
+  f("store.recovery_truncated_bytes", s.recovery_truncated_bytes);
+  f("store.recovery_replay_seconds", s.recovery_replay_seconds);
+}
 
 /// Thread-safe accumulator. Writers are the Database's statement path
 /// (WAL appends) and checkpoint path; readers are the shell/server stats

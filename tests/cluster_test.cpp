@@ -450,8 +450,9 @@ TEST(ClusterTest, MetricsTravelTheStatsVerb) {
   EXPECT_GE(stats->cluster.jobs, 1u);
   ASSERT_EQ(stats->cluster.ranks.size(), 2u);
   EXPECT_GT(stats->cluster.ranks[1].messages, 0u);
-  EXPECT_NE(stats->cluster.to_string().find("cluster: 2 ranks"),
-            std::string::npos);
+  const std::string rendered = net::render(*stats, "cluster.");
+  EXPECT_NE(rendered.find("cluster.num_ranks 2\n"), std::string::npos);
+  EXPECT_NE(rendered.find("cluster.rank.1.messages "), std::string::npos);
   client.disconnect();
   server.stop();
 

@@ -6,6 +6,8 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -363,6 +365,270 @@ TEST(NetTest, DecodeParamsRejectsHostileCount) {
   EXPECT_EQ(decoded.status().code(), StatusCode::kParseError);
 }
 
+// ---- Self-describing stats payload ----------------------------------------
+
+/// A histogram whose every field and bucket is distinct and non-zero.
+LatencyHistogram distinct_histogram(std::uint64_t seed) {
+  LatencyHistogram h;
+  for (std::size_t i = 0; i < LatencyHistogram::kBuckets; ++i) {
+    h.buckets[i] = seed * 1000 + i + 1;
+  }
+  h.count = seed * 1000 + 101;
+  h.sum_us = seed * 1000 + 102;
+  h.max_us = seed * 1000 + 103;
+  return h;
+}
+
+/// Every field of all six blocks set by hand to a distinct non-zero value
+/// (booleans true), so a field missing from a field list — encoded as
+/// nothing, decoded as zero — fails the round trip.
+MetricsSnapshot full_snapshot() {
+  MetricsSnapshot snap;
+  for (std::size_t i = 0; i < kNumVerbs; ++i) {
+    const std::uint64_t base = 100 * (i + 1);
+    VerbMetrics& v = snap.verbs[i];
+    v.requests = base + 1;
+    v.ok = base + 2;
+    v.errors = base + 3;
+    v.overloaded = base + 4;
+    v.expired = base + 5;
+    v.cancelled = base + 6;
+    v.bytes_in = base + 7;
+    v.bytes_out = base + 8;
+    v.queue_wait = distinct_histogram(2 * i + 1);
+    v.execute = distinct_histogram(2 * i + 2);
+  }
+  snap.access.shared_acquired = 2001;
+  snap.access.exclusive_acquired = 2002;
+  snap.access.exclusive_wait_us = 2003;
+  snap.access.exclusive_held_us = 2004;
+  snap.cluster.num_ranks = 2;
+  snap.cluster.jobs = 3001;
+  snap.cluster.fallbacks = 3002;
+  snap.cluster.syncs = 3003;
+  snap.cluster.sync_bytes = 3004;
+  for (std::uint64_t r = 0; r < 2; ++r) {
+    server::ClusterRankMetrics m;
+    m.connected = true;
+    m.jobs = 3100 + 10 * r + 1;
+    m.messages = 3100 + 10 * r + 2;
+    m.payload_bytes = 3100 + 10 * r + 3;
+    m.wire_bytes = 3100 + 10 * r + 4;
+    m.supersteps = 3100 + 10 * r + 5;
+    m.stall_us = 3100 + 10 * r + 6;
+    snap.cluster.ranks.push_back(m);
+  }
+  snap.epoch.published = 4001;
+  snap.epoch.retired = 4002;
+  snap.epoch.freed = 4003;
+  snap.epoch.live = 4004;
+  snap.epoch.pins_taken = 4005;
+  snap.epoch.pinned_readers = 4006;
+  snap.epoch.peak_pinned_readers = 4007;
+  snap.epoch.oldest_pin_age_us = 4008;
+  snap.epoch.delta_ingests = 4009;
+  snap.epoch.full_rebuilds = 4010;
+  snap.epoch.delta_build_ns = 4011;
+  snap.epoch.rebuild_ns = 4012;
+  snap.epoch.current_epoch = 4013;
+  snap.store.wal_records = 5001;
+  snap.store.wal_bytes = 5002;
+  snap.store.wal_append_us = distinct_histogram(50);
+  snap.store.snapshots_written = 5003;
+  snap.store.snapshot_bytes_last = 5004;
+  snap.store.snapshot_write_us = distinct_histogram(51);
+  snap.store.recovered = true;
+  snap.store.recovered_from_snapshot = true;
+  snap.store.recovery_snapshot_bytes = 5005;
+  snap.store.recovery_snapshot_seconds = 5.25;
+  snap.store.recovery_records_applied = 5006;
+  snap.store.recovery_records_skipped = 5007;
+  snap.store.recovery_truncated_bytes = 5008;
+  snap.store.recovery_replay_seconds = 6.5;
+  snap.matcher.queries = 6001;
+  snap.matcher.propagation_passes = 6002;
+  snap.matcher.edge_traversals = 6003;
+  snap.matcher.parallel_tasks = 6004;
+  snap.matcher.merge_ns = 6005;
+  snap.matcher.worker_us = distinct_histogram(60);
+  return snap;
+}
+
+void expect_same(const MetricsSnapshot& got, const MetricsSnapshot& want) {
+  for (std::size_t i = 0; i < kNumVerbs; ++i) {
+    EXPECT_TRUE(got.verbs[i] == want.verbs[i]) << "verb " << i;
+  }
+  EXPECT_TRUE(got.access == want.access);
+  EXPECT_TRUE(got.cluster == want.cluster);
+  EXPECT_TRUE(got.epoch == want.epoch);
+  EXPECT_TRUE(got.store == want.store);
+  EXPECT_TRUE(got.matcher == want.matcher);
+}
+
+std::vector<std::uint8_t> stats_payload(const MetricsSnapshot& snap) {
+  std::vector<std::uint8_t> bytes;
+  encode_metrics(snap, bytes);
+  return bytes;
+}
+
+TEST(StatsCodecTest, EveryFieldOfEveryBlockRoundTrips) {
+  const MetricsSnapshot snap = full_snapshot();
+  auto decoded = decode_metrics(stats_payload(snap));
+  ASSERT_TRUE(decoded.is_ok()) << decoded.status().to_string();
+  expect_same(*decoded, snap);
+}
+
+TEST(StatsCodecTest, UnknownSampleNamesAreSkipped) {
+  const MetricsSnapshot snap = full_snapshot();
+  std::vector<std::uint8_t> bytes = stats_payload(snap);
+  // A newer peer's extra samples: one of each kind, appended after the
+  // known ones, with the leading sample count raised to match.
+  WireWriter extra;
+  extra.str("future.counter");
+  extra.u8(0);
+  extra.u64(7);
+  extra.str("future.ratio");
+  extra.u8(1);
+  extra.u64(0x3FF0000000000000ull);  // 1.0
+  extra.str("future.latency_us");
+  extra.u8(2);
+  extra.u64(1);
+  extra.u64(2);
+  extra.u64(2);
+  extra.u32(2);
+  extra.u64(0);
+  extra.u64(1);
+  std::vector<std::uint8_t> tail = extra.take();
+  bytes.insert(bytes.end(), tail.begin(), tail.end());
+  std::uint32_t n = 0;
+  std::memcpy(&n, bytes.data(), sizeof(n));
+  n += 3;
+  std::memcpy(bytes.data(), &n, sizeof(n));
+  auto decoded = decode_metrics(bytes);
+  ASSERT_TRUE(decoded.is_ok()) << decoded.status().to_string();
+  expect_same(*decoded, snap);
+}
+
+TEST(StatsCodecTest, TruncationAtEveryByteFailsCleanly) {
+  const std::vector<std::uint8_t> bytes = stats_payload(full_snapshot());
+  for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
+    auto decoded = decode_metrics(
+        std::span<const std::uint8_t>(bytes.data(), cut));
+    ASSERT_FALSE(decoded.is_ok()) << "truncation at byte " << cut;
+    ASSERT_EQ(decoded.status().code(), StatusCode::kParseError);
+  }
+}
+
+/// Decodes a crafted payload and expects a parse error naming an offset.
+void expect_rejected(const std::vector<std::uint8_t>& bytes,
+                     const std::string& what) {
+  auto decoded = decode_metrics(bytes);
+  ASSERT_FALSE(decoded.is_ok()) << what;
+  EXPECT_EQ(decoded.status().code(), StatusCode::kParseError) << what;
+  EXPECT_NE(decoded.status().message().find("byte offset"),
+            std::string::npos)
+      << what << ": " << decoded.status().to_string();
+}
+
+TEST(StatsCodecTest, RejectsHostileCountsAndIndexesBeforeAllocating) {
+  {
+    WireWriter w;
+    w.u32(0xFFFFFFFFu);  // sample count
+    expect_rejected(w.take(), "sample count");
+  }
+  {
+    WireWriter w;
+    w.u32(1);
+    w.u32(0xFFFFFFF0u);  // name length
+    w.u8(0);
+    expect_rejected(w.take(), "name length");
+  }
+  {
+    WireWriter w;
+    w.u32(1);
+    w.str("net.stats.execute_us");
+    w.u8(2);
+    w.u64(1);
+    w.u64(1);
+    w.u64(1);
+    w.u32(0xFFFFFFFFu);  // bucket count
+    expect_rejected(w.take(), "bucket count");
+  }
+  {
+    WireWriter w;
+    w.u32(2);
+    w.str("cluster.num_ranks");
+    w.u8(0);
+    w.u64(1u << 30);
+    w.str("cluster.rank.1073741823.messages");  // under num_ranks, over cap
+    w.u8(0);
+    w.u64(5);
+    expect_rejected(w.take(), "rank index past the cap");
+  }
+  {
+    WireWriter w;
+    w.u32(2);
+    w.str("cluster.num_ranks");
+    w.u8(0);
+    w.u64(1);
+    w.str("cluster.rank.3.messages");
+    w.u8(0);
+    w.u64(5);
+    expect_rejected(w.take(), "rank index past num_ranks");
+  }
+  {
+    WireWriter w;
+    w.u32(1);
+    w.str("epoch.live");
+    w.u8(2);  // a histogram where a counter belongs
+    w.u64(1);
+    w.u64(1);
+    w.u64(1);
+    w.u32(0);
+    expect_rejected(w.take(), "kind mismatch");
+  }
+  {
+    WireWriter w;
+    w.u32(1);
+    w.str("epoch.live");
+    w.u8(9);  // no such kind
+    w.u64(1);
+    expect_rejected(w.take(), "unknown kind");
+  }
+  {
+    std::vector<std::uint8_t> bytes = stats_payload(MetricsSnapshot{});
+    bytes.push_back(0);
+    expect_rejected(bytes, "trailing bytes");
+  }
+}
+
+TEST(StatsCodecTest, RenderSkipsZerosAndFiltersByPrefix) {
+  MetricsSnapshot snap;
+  snap.epoch.published = 3;
+  snap.matcher.worker_us.record(5);
+  snap.verbs[static_cast<std::size_t>(Verb::kRunScript)].ok = 2;
+  EXPECT_EQ(render(snap), "net.run_script.ok 2\nepoch.published 3\n"
+                          "matcher.worker_us 1/5/5/5\n");
+  EXPECT_EQ(render(snap, "epoch."), "epoch.published 3\n");
+  EXPECT_EQ(render(snap, "store."), "");
+}
+
+TEST(StatsShellTest, LocalStatsPrefixPrintsEpochLines) {
+  const std::string command = std::string("printf '\\\\stats epoch.\\n' | ") +
+                              GEMS_SHELL_PATH + " --berlin 20";
+  FILE* pipe = ::popen(command.c_str(), "r");
+  ASSERT_NE(pipe, nullptr);
+  std::string out;
+  char buf[4096];
+  while (const std::size_t n = std::fread(buf, 1, sizeof(buf), pipe)) {
+    out.append(buf, n);
+  }
+  ASSERT_EQ(::pclose(pipe), 0) << out;
+  EXPECT_NE(out.find("epoch.published "), std::string::npos) << out;
+  EXPECT_NE(out.find("epoch.current_epoch "), std::string::npos) << out;
+  EXPECT_EQ(out.find("access."), std::string::npos) << out;
+}
+
 // ---- Concurrency -----------------------------------------------------------
 
 TEST(NetTest, EightConcurrentClients) {
@@ -570,6 +836,7 @@ TEST(NetConcurrencyTest, EightReadersByteIdenticalAcrossWorkers) {
   const std::uint64_t exclusive_before =
       shared_db().access_metrics().exclusive_acquired;
   const std::uint64_t pins_before = shared_db().epoch_metrics().pins_taken;
+  const std::uint64_t matches_before = shared_db().match_metrics().queries;
   std::atomic<int> failures{0};
   std::atomic<int> mismatches{0};
   std::vector<std::thread> threads;
@@ -599,10 +866,10 @@ TEST(NetConcurrencyTest, EightReadersByteIdenticalAcrossWorkers) {
   EXPECT_EQ(failures.load(), 0);
   EXPECT_EQ(mismatches.load(), 0);
 
-  // The access and epoch counters travel the wire at the tail of the
-  // stats payload. Each read script pins exactly one epoch; only the
-  // `into` script (scripts[0]) takes the writer lock, once per run, to
-  // fold its result into a new epoch.
+  // The access, epoch and matcher counters travel the wire in the stats
+  // payload. Each read script pins exactly one epoch; only the `into`
+  // script (scripts[0]) takes the writer lock, once per run, to fold its
+  // result into a new epoch; it is also the one graph match.
   Client client = make_client(server.port());
   ASSERT_TRUE(client.connect().is_ok());
   auto stats = client.stats();
@@ -610,6 +877,9 @@ TEST(NetConcurrencyTest, EightReadersByteIdenticalAcrossWorkers) {
   const std::uint64_t runs = kClients * kRounds;
   EXPECT_EQ(stats->epoch.pins_taken - pins_before, runs * scripts.size());
   EXPECT_EQ(stats->access.exclusive_acquired - exclusive_before, runs);
+  EXPECT_GE(stats->matcher.queries - matches_before, runs);
+  EXPECT_NE(render(*stats, "matcher.").find("matcher.queries "),
+            std::string::npos);
   EXPECT_GE(stats->epoch.published, 1u);
   server.stop();
 }
@@ -683,6 +953,18 @@ TEST(NetConcurrencyTest, ReadersInterleavedWithIngestAndCheckpoint) {
   }
   stop.store(true, std::memory_order_release);
   for (auto& t : readers) t.join();
+  {
+    // Store counters reach remote clients through the stats verb.
+    Client client = make_client(server.port());
+    ASSERT_TRUE(client.connect().is_ok());
+    auto stats = client.stats();
+    ASSERT_TRUE(stats.is_ok()) << stats.status().to_string();
+    EXPECT_GE(stats->store.snapshots_written,
+              static_cast<std::uint64_t>(kBatches));
+    EXPECT_GT(stats->store.wal_records, 0u);
+    EXPECT_NE(render(*stats, "store.").find("store.wal_append_us "),
+              std::string::npos);
+  }
   server.stop();
   EXPECT_EQ(failures.load(), 0);
   EXPECT_EQ(torn_reads.load(), 0);

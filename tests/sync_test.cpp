@@ -168,11 +168,8 @@ TEST(AccessGuardTest, MetricsMeterWaitAndHold) {
   EXPECT_EQ(snap.exclusive_acquired, 3u);
   EXPECT_GE(snap.exclusive_held_us, 9000u);
   EXPECT_GT(snap.exclusive_wait_us, 0u);
-  // No shared mode: the snapshot's shared-side fields stay zero.
+  // No shared mode: shared_acquired stays zero.
   EXPECT_EQ(snap.shared_acquired, 0u);
-  EXPECT_EQ(snap.shared_held_us, 0u);
-  EXPECT_EQ(snap.peak_concurrent_shared, 0u);
-  EXPECT_FALSE(snap.to_string().empty());
 }
 
 }  // namespace
