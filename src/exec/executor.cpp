@@ -362,7 +362,19 @@ Result<TablePtr> collect_table(const GraphQueryStmt& stmt,
       stmt.into_name.empty() ? "result" : stmt.into_name, std::move(schema),
       *ctx.pool);
 
-  std::vector<Value> row(cols.size());
+  // Cells are copied column to column: a varchar is a StringId copy when
+  // the source shares the output's pool. Only a kind mismatch (an or-branch
+  // whose column differs in kind from the first network's) or a foreign
+  // pool goes through a boxed Value, which append_value converts.
+  auto append_cell = [&](storage::Column& dst, const Table& src,
+                         RowIndex row, ColumnIndex col) {
+    const storage::Column& from = src.column(col);
+    if (from.type().kind == dst.type().kind && &src.pool() == ctx.pool) {
+      dst.append_from(from, row);
+    } else {
+      dst.append_value(src.value_at(row, col), *ctx.pool);
+    }
+  };
   for (std::size_t n = 0; n < lowered.networks.size(); ++n) {
     const ConstraintNetwork& net = lowered.networks[n];
     const MatchResult& match = matches[n];
@@ -375,28 +387,31 @@ Result<TablePtr> collect_table(const GraphQueryStmt& stmt,
                     std::span<const EdgeRef> edges) {
       for (std::size_t c = 0; c < cols.size(); ++c) {
         const ColSource& src = cols[c].per_network[n];
+        storage::Column& dst = out->column_mut(static_cast<ColumnIndex>(c));
         switch (src.kind) {
           case ColSource::Kind::kNone:
-            row[c] = Value::null();
+            dst.append_null();
             break;
           case ColSource::Kind::kVertex: {
             const VertexRef ref = vertices[src.index];
             const VertexType& vt = graph.vertex_type(ref.type);
-            row[c] = vt.source().value_at(vt.representative_row(ref.index),
-                                          src.column);
+            append_cell(dst, vt.source(), vt.representative_row(ref.index),
+                        src.column);
             break;
           }
           case ColSource::Kind::kEdge: {
             const EdgeRef ref = edges[src.index];
             const Table* attrs = graph.edge_type(ref.type).attr_table();
-            row[c] = attrs == nullptr
-                         ? Value::null()
-                         : attrs->value_at(ref.index, src.column);
+            if (attrs == nullptr) {
+              dst.append_null();
+            } else {
+              append_cell(dst, *attrs, ref.index, src.column);
+            }
             break;
           }
         }
       }
-      out->append_row_unchecked(row);
+      out->bump_row_count();
       return true;
     };
     GEMS_ASSIGN_OR_RETURN(

@@ -17,9 +17,11 @@ using storage::Value;
 
 // ---- Writer ----------------------------------------------------------------
 
+/// Appends to a caller-owned buffer, so a value can be encoded in place
+/// (the WAL encodes one per ingested cell).
 class Writer {
  public:
-  std::vector<std::uint8_t> take() { return std::move(buf_); }
+  explicit Writer(std::vector<std::uint8_t>& out) : buf_(out) {}
 
   void u8(std::uint8_t v) { buf_.push_back(v); }
   void u16(std::uint16_t v) { raw(&v, sizeof(v)); }
@@ -134,7 +136,7 @@ class Writer {
     buf_.insert(buf_.end(), bytes, bytes + n);
   }
 
-  std::vector<std::uint8_t> buf_;
+  std::vector<std::uint8_t>& buf_;
 };
 
 // ---- Reader -----------------------------------------------------------------
@@ -678,7 +680,8 @@ Result<Statement> decode_statement(Reader& r) {
 }  // namespace
 
 std::vector<std::uint8_t> encode_script(const Script& script) {
-  Writer w;
+  std::vector<std::uint8_t> out;
+  Writer w(out);
   w.u32(kIrMagic);
   w.u16(kIrVersion);
   w.u32(static_cast<std::uint32_t>(script.statements.size()));
@@ -688,7 +691,7 @@ std::vector<std::uint8_t> encode_script(const Script& script) {
     w.span(statement_span(stmt));
     encode_statement(w, stmt);
   }
-  return w.take();
+  return out;
 }
 
 Result<Script> decode_script(std::span<const std::uint8_t> bytes) {
@@ -713,10 +716,7 @@ Result<Script> decode_script(std::span<const std::uint8_t> bytes) {
 }
 
 void encode_value(const storage::Value& v, std::vector<std::uint8_t>& out) {
-  Writer w;
-  w.value(v);
-  std::vector<std::uint8_t> bytes = w.take();
-  out.insert(out.end(), bytes.begin(), bytes.end());
+  Writer(out).value(v);
 }
 
 Result<storage::Value> decode_value(std::span<const std::uint8_t> bytes,
@@ -733,13 +733,14 @@ Result<storage::Value> decode_value(std::span<const std::uint8_t> bytes,
 }
 
 std::vector<std::uint8_t> encode_params(const relational::ParamMap& params) {
-  Writer w;
+  std::vector<std::uint8_t> out;
+  Writer w(out);
   w.u32(static_cast<std::uint32_t>(params.size()));
   for (const auto& [name, value] : params) {
     w.str(name);
     w.value(value);
   }
-  return w.take();
+  return out;
 }
 
 Result<relational::ParamMap> decode_params(

@@ -1,16 +1,16 @@
 #include "net/wire.hpp"
 
 #include <cstring>
+#include <limits>
+#include <utility>
 
-#include "graql/ir.hpp"
+#include "common/hash.hpp"
 
 namespace gems::net {
 
 namespace {
 
-using storage::DataType;
 using storage::TypeKind;
-using storage::Value;
 
 }  // namespace
 
@@ -46,10 +46,6 @@ void WireWriter::str(std::string_view s) {
 void WireWriter::blob(std::span<const std::uint8_t> bytes) {
   u32(static_cast<std::uint32_t>(bytes.size()));
   raw(bytes.data(), bytes.size());
-}
-
-void WireWriter::value(const storage::Value& v) {
-  graql::encode_value(v, buf_);
 }
 
 void WireWriter::raw(const void* p, std::size_t n) {
@@ -112,8 +108,17 @@ Result<std::vector<std::uint8_t>> WireReader::blob() {
   return out;
 }
 
-Result<storage::Value> WireReader::value() {
-  return graql::decode_value(bytes_, pos_);
+Result<std::span<const std::uint8_t>> WireReader::bytes(std::uint64_t n,
+                                                        const char* what) {
+  if (n > remaining()) {
+    return parse_error("malformed frame: " + std::string(what) + " needs " +
+                       std::to_string(n) + " bytes but only " +
+                       std::to_string(remaining()) +
+                       " remain at byte offset " + std::to_string(pos_));
+  }
+  const auto out = bytes_.subspan(pos_, static_cast<std::size_t>(n));
+  pos_ += static_cast<std::size_t>(n);
+  return out;
 }
 
 Result<std::uint32_t> WireReader::count(const char* what) {
@@ -272,6 +277,255 @@ Status decode_status(WireReader& reader) {
   return Status(static_cast<StatusCode>(*code), std::move(*message));
 }
 
+namespace {
+
+std::size_t bit_words(std::uint64_t bits) { return (bits + 63) / 64; }
+
+/// A varchar column's string dictionary: codes in first-use order, looked
+/// up through an open-addressing table of (id + 1) << 32 | code slots
+/// (0 = empty) kept at most 3/4 full — one allocation per growth instead
+/// of one node per distinct string.
+class Dictionary {
+ public:
+  std::uint32_t code(StringId id) {
+    if (4 * (strings_.size() + 1) > 3 * slots_.size()) grow();
+    const std::uint64_t key = std::uint64_t{id} + 1;
+    const std::size_t mask = slots_.size() - 1;
+    for (std::size_t i = mix64(id) & mask;; i = (i + 1) & mask) {
+      if (slots_[i] == 0) {
+        const auto code = static_cast<std::uint32_t>(strings_.size());
+        slots_[i] = key << 32 | code;
+        strings_.push_back(id);
+        return code;
+      }
+      if (slots_[i] >> 32 == key) return static_cast<std::uint32_t>(slots_[i]);
+    }
+  }
+
+  const std::vector<StringId>& strings() const { return strings_; }
+
+ private:
+  void grow() {
+    const std::vector<std::uint64_t> old = std::exchange(
+        slots_, std::vector<std::uint64_t>(slots_.size() * 2, 0));
+    const std::size_t mask = slots_.size() - 1;
+    for (const std::uint64_t slot : old) {
+      if (slot == 0) continue;
+      std::size_t i = mix64((slot >> 32) - 1) & mask;
+      while (slots_[i] != 0) i = (i + 1) & mask;
+      slots_[i] = slot;
+    }
+  }
+
+  std::vector<std::uint64_t> slots_ = std::vector<std::uint64_t>(64, 0);
+  std::vector<StringId> strings_;
+};
+
+void encode_column(const storage::Column& col, WireWriter& w,
+                   const StringPool& pool) {
+  const std::span<const std::uint64_t> valid = col.validity().words();
+  w.raw(valid.data(), valid.size_bytes());
+  const std::size_t n = col.size();
+  switch (col.type().kind) {
+    case TypeKind::kBool: {
+      std::vector<std::uint64_t> bits(bit_words(n), 0);
+      const auto data = col.int_span();
+      for (std::size_t i = 0; i < n; ++i) {
+        bits[i >> 6] |= static_cast<std::uint64_t>(data[i] != 0) << (i & 63);
+      }
+      w.raw(bits.data(), bits.size() * sizeof(std::uint64_t));
+      return;
+    }
+    case TypeKind::kInt64:
+    case TypeKind::kDate:
+      w.raw(col.int_span().data(), col.int_span().size_bytes());
+      return;
+    case TypeKind::kDouble:
+      w.raw(col.double_span().data(), col.double_span().size_bytes());
+      return;
+    case TypeKind::kVarchar: {
+      // Codes go straight into the buffer; each distinct string then
+      // crosses the wire once per column.
+      const auto ids = col.string_span();
+      std::vector<std::uint8_t>& buf = w.buffer();
+      const std::size_t codes_at = buf.size();
+      buf.resize(codes_at + n * sizeof(std::uint32_t));
+      Dictionary dictionary;
+      for (std::size_t i = 0; i < n; ++i) {
+        const std::uint32_t code =
+            col.is_null(static_cast<storage::RowIndex>(i))
+                ? 0
+                : dictionary.code(ids[i]);
+        std::memcpy(buf.data() + codes_at + i * sizeof(code), &code,
+                    sizeof(code));
+      }
+      w.u32(static_cast<std::uint32_t>(dictionary.strings().size()));
+      for (const StringId id : dictionary.strings()) w.str(pool.view(id));
+      return;
+    }
+  }
+}
+
+void encode_table(const storage::Table& table, WireWriter& w) {
+  w.str(table.name());
+  w.u32(static_cast<std::uint32_t>(table.schema().num_columns()));
+  for (const auto& col : table.schema().columns()) {
+    w.str(col.name);
+    w.u8(static_cast<std::uint8_t>(col.type.kind));
+    w.u32(col.type.varchar_length);
+  }
+  w.u64(table.num_rows());
+  for (std::size_t c = 0; c < table.num_columns(); ++c) {
+    encode_column(table.column(static_cast<storage::ColumnIndex>(c)), w,
+                  table.pool());
+  }
+}
+
+/// Reads `n` fixed-width lanes of T, checked against the remaining bytes.
+template <typename T>
+Result<std::vector<T>> read_lanes(WireReader& reader, std::uint64_t n,
+                                  const char* what) {
+  GEMS_ASSIGN_OR_RETURN(std::span<const std::uint8_t> raw,
+                        reader.bytes(n * sizeof(T), what));
+  std::vector<T> out(static_cast<std::size_t>(n));
+  if (!raw.empty()) std::memcpy(out.data(), raw.data(), raw.size());
+  return out;
+}
+
+/// Zeroes the payload of NULL lanes, the form every column writer stores.
+template <typename T>
+void clear_null_lanes(std::vector<T>& data, const DynamicBitset& valid,
+                      T null_payload) {
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    if (!valid.test(i)) data[i] = null_payload;
+  }
+}
+
+Status decode_column(WireReader& reader, std::uint64_t n,
+                     storage::Column& col, StringPool& pool) {
+  GEMS_ASSIGN_OR_RETURN(std::vector<std::uint64_t> words,
+                        read_lanes<std::uint64_t>(reader, bit_words(n),
+                                                  "validity block"));
+  auto valid = DynamicBitset::from_words(static_cast<std::size_t>(n),
+                                         std::move(words));
+  if (!valid.is_ok()) {
+    return parse_error("malformed frame: validity block: " +
+                       valid.status().message());
+  }
+  switch (col.type().kind) {
+    case TypeKind::kBool: {
+      GEMS_ASSIGN_OR_RETURN(std::vector<std::uint64_t> bits,
+                            read_lanes<std::uint64_t>(reader, bit_words(n),
+                                                      "bool payload"));
+      std::vector<std::int64_t> data(static_cast<std::size_t>(n));
+      for (std::size_t i = 0; i < data.size(); ++i) {
+        data[i] = static_cast<std::int64_t>((bits[i >> 6] >> (i & 63)) & 1u);
+      }
+      clear_null_lanes<std::int64_t>(data, *valid, 0);
+      return col.load_ints(std::move(data), std::move(valid).value());
+    }
+    case TypeKind::kInt64:
+    case TypeKind::kDate: {
+      GEMS_ASSIGN_OR_RETURN(std::vector<std::int64_t> data,
+                            read_lanes<std::int64_t>(reader, n, "payload"));
+      clear_null_lanes<std::int64_t>(data, *valid, 0);
+      return col.load_ints(std::move(data), std::move(valid).value());
+    }
+    case TypeKind::kDouble: {
+      GEMS_ASSIGN_OR_RETURN(std::vector<double> data,
+                            read_lanes<double>(reader, n, "payload"));
+      clear_null_lanes<double>(data, *valid, 0.0);
+      return col.load_doubles(std::move(data), std::move(valid).value());
+    }
+    case TypeKind::kVarchar: {
+      const std::size_t codes_at = reader.position();
+      GEMS_ASSIGN_OR_RETURN(
+          std::span<const std::uint8_t> codes,
+          reader.bytes(n * sizeof(std::uint32_t), "string codes"));
+      GEMS_ASSIGN_OR_RETURN(std::uint32_t dict_size,
+                            reader.count("string dictionary"));
+      std::vector<StringId> dictionary;
+      dictionary.reserve(dict_size);
+      for (std::uint32_t d = 0; d < dict_size; ++d) {
+        const std::size_t at = reader.position();
+        GEMS_ASSIGN_OR_RETURN(std::uint32_t len, reader.u32());
+        GEMS_ASSIGN_OR_RETURN(std::span<const std::uint8_t> text,
+                              reader.bytes(len, "dictionary string"));
+        if (len > col.type().varchar_length) {
+          return parse_error("malformed frame: dictionary string of " +
+                             std::to_string(len) + " bytes exceeds " +
+                             col.type().to_string() + " at byte offset " +
+                             std::to_string(at));
+        }
+        dictionary.push_back(pool.intern(std::string_view(
+            reinterpret_cast<const char*>(text.data()), text.size())));
+      }
+      std::vector<StringId> data(static_cast<std::size_t>(n),
+                                 kInvalidStringId);
+      for (std::size_t i = 0; i < data.size(); ++i) {
+        if (!valid->test(i)) continue;
+        std::uint32_t code = 0;
+        std::memcpy(&code, codes.data() + i * sizeof(code), sizeof(code));
+        if (code >= dictionary.size()) {
+          return parse_error("malformed frame: string code " +
+                             std::to_string(code) + " >= dictionary size " +
+                             std::to_string(dictionary.size()) + " in row " +
+                             std::to_string(i) + " of the codes at byte "
+                             "offset " + std::to_string(codes_at));
+        }
+        data[i] = dictionary[code];
+      }
+      return col.load_strings(std::move(data), std::move(valid).value());
+    }
+  }
+  return parse_error("malformed frame: bad column kind");
+}
+
+Result<storage::TablePtr> decode_table(WireReader& reader, StringPool& pool) {
+  GEMS_ASSIGN_OR_RETURN(std::string table_name, reader.str());
+  GEMS_ASSIGN_OR_RETURN(std::uint32_t ncols, reader.count("column list"));
+  std::vector<storage::ColumnDef> columns;
+  columns.reserve(ncols);
+  for (std::uint32_t c = 0; c < ncols; ++c) {
+    storage::ColumnDef def;
+    GEMS_ASSIGN_OR_RETURN(def.name, reader.str());
+    GEMS_ASSIGN_OR_RETURN(std::uint8_t type_kind, reader.u8());
+    if (type_kind > static_cast<std::uint8_t>(TypeKind::kDate)) {
+      return parse_error("malformed frame: bad column type kind " +
+                         std::to_string(type_kind));
+    }
+    def.type.kind = static_cast<TypeKind>(type_kind);
+    GEMS_ASSIGN_OR_RETURN(def.type.varchar_length, reader.u32());
+    columns.push_back(std::move(def));
+  }
+  GEMS_ASSIGN_OR_RETURN(storage::Schema schema,
+                        storage::Schema::create(std::move(columns)));
+  const std::size_t at = reader.position();
+  GEMS_ASSIGN_OR_RETURN(std::uint64_t nrows, reader.u64());
+  // Rows are addressed by 32-bit RowIndex; the per-column blocks below
+  // are each checked against the remaining bytes before allocating.
+  if (nrows > std::numeric_limits<storage::RowIndex>::max()) {
+    return parse_error("malformed frame: row count " + std::to_string(nrows) +
+                       " exceeds the row index range at byte offset " +
+                       std::to_string(at));
+  }
+  auto table = std::make_shared<storage::Table>(std::move(table_name),
+                                                std::move(schema), pool);
+  if (table->num_columns() == 0) {
+    table->bump_rows(static_cast<std::size_t>(nrows));
+    return table;
+  }
+  for (std::size_t c = 0; c < table->num_columns(); ++c) {
+    GEMS_RETURN_IF_ERROR(decode_column(
+        reader, nrows,
+        table->column_mut(static_cast<storage::ColumnIndex>(c)), pool));
+  }
+  GEMS_RETURN_IF_ERROR(table->finish_restore());
+  return table;
+}
+
+}  // namespace
+
 void encode_results(const std::vector<exec::StatementResult>& results,
                     WireWriter& w) {
   w.u32(static_cast<std::uint32_t>(results.size()));
@@ -283,21 +537,7 @@ void encode_results(const std::vector<exec::StatementResult>& results,
     w.str(r.message);
     const storage::Table* table = r.table.get();
     w.boolean(table != nullptr);
-    if (table != nullptr) {
-      w.str(table->name());
-      w.u32(static_cast<std::uint32_t>(table->schema().num_columns()));
-      for (const auto& col : table->schema().columns()) {
-        w.str(col.name);
-        w.u8(static_cast<std::uint8_t>(col.type.kind));
-        w.u32(col.type.varchar_length);
-      }
-      w.u64(table->num_rows());
-      for (std::size_t row = 0; row < table->num_rows(); ++row) {
-        for (std::size_t col = 0; col < table->num_columns(); ++col) {
-          w.value(table->value_at(row, static_cast<storage::ColumnIndex>(col)));
-        }
-      }
-    }
+    if (table != nullptr) encode_table(*table, w);
     const bool has_subgraph = r.subgraph != nullptr;
     w.boolean(has_subgraph);
     if (has_subgraph) {
@@ -332,44 +572,7 @@ Result<std::vector<exec::StatementResult>> decode_results(WireReader& reader,
     GEMS_ASSIGN_OR_RETURN(result.message, reader.str());
     GEMS_ASSIGN_OR_RETURN(bool has_table, reader.boolean());
     if (has_table) {
-      GEMS_ASSIGN_OR_RETURN(std::string table_name, reader.str());
-      GEMS_ASSIGN_OR_RETURN(std::uint32_t ncols, reader.count("column list"));
-      std::vector<storage::ColumnDef> columns;
-      columns.reserve(ncols);
-      for (std::uint32_t c = 0; c < ncols; ++c) {
-        storage::ColumnDef def;
-        GEMS_ASSIGN_OR_RETURN(def.name, reader.str());
-        GEMS_ASSIGN_OR_RETURN(std::uint8_t type_kind, reader.u8());
-        if (type_kind > static_cast<std::uint8_t>(TypeKind::kDate)) {
-          return parse_error("malformed frame: bad column type kind " +
-                             std::to_string(type_kind));
-        }
-        def.type.kind = static_cast<TypeKind>(type_kind);
-        GEMS_ASSIGN_OR_RETURN(def.type.varchar_length, reader.u32());
-        columns.push_back(std::move(def));
-      }
-      GEMS_ASSIGN_OR_RETURN(storage::Schema schema,
-                            storage::Schema::create(std::move(columns)));
-      GEMS_ASSIGN_OR_RETURN(std::uint64_t nrows, reader.u64());
-      // One value needs at least a tag byte; pre-check the row count
-      // against the remaining payload before building the table.
-      if (ncols > 0 && nrows > reader.remaining() / ncols) {
-        return parse_error("malformed frame: row count " +
-                           std::to_string(nrows) + " exceeds remaining " +
-                           std::to_string(reader.remaining()) +
-                           " bytes at byte offset " +
-                           std::to_string(reader.position()));
-      }
-      auto table = std::make_shared<storage::Table>(std::move(table_name),
-                                                    std::move(schema), pool);
-      std::vector<Value> row(table->num_columns());
-      for (std::uint64_t rix = 0; rix < nrows; ++rix) {
-        for (std::size_t c = 0; c < row.size(); ++c) {
-          GEMS_ASSIGN_OR_RETURN(row[c], reader.value());
-        }
-        GEMS_RETURN_IF_ERROR(table->append_row(row));
-      }
-      result.table = std::move(table);
+      GEMS_ASSIGN_OR_RETURN(result.table, decode_table(reader, pool));
     }
     GEMS_ASSIGN_OR_RETURN(bool has_subgraph, reader.boolean());
     if (has_subgraph) {

@@ -7,7 +7,7 @@
 //
 // Frame layout (little-endian, matching the IR):
 //   u32 magic      "GNET" (0x474E4554)
-//   u16 version    wire protocol version (2)
+//   u16 version    wire protocol version (3)
 //   u8  verb       request verb (also echoed on the response)
 //   u8  flags      bit 0: response
 //   u64 request_id client-assigned, echoed on the response
@@ -34,7 +34,7 @@
 namespace gems::net {
 
 inline constexpr std::uint32_t kFrameMagic = 0x474E4554;  // "GNET"
-inline constexpr std::uint16_t kWireVersion = 2;
+inline constexpr std::uint16_t kWireVersion = 3;
 inline constexpr std::size_t kFrameHeaderBytes = 20;
 /// Default frame budget: the largest payload either side will accept.
 inline constexpr std::size_t kDefaultMaxFrameBytes = 64u << 20;
@@ -66,9 +66,7 @@ struct FrameHeader {
 
 // ---- Primitive payload codec ----------------------------------------------
 // Shared by every payload struct below and by tests that craft hostile
-// frames on purpose. Values reuse the IR's tagged encoding
-// (graql::encode_value), so a literal looks the same in a script IR and
-// in a result table.
+// frames on purpose.
 
 class WireWriter {
  public:
@@ -80,13 +78,13 @@ class WireWriter {
   void str(std::string_view s);
   /// Length-prefixed opaque byte blob.
   void blob(std::span<const std::uint8_t> bytes);
-  void value(const storage::Value& v);
+  /// Unprefixed bytes (fixed-width column payloads).
+  void raw(const void* p, std::size_t n);
 
   std::vector<std::uint8_t>& buffer() { return buf_; }
   std::vector<std::uint8_t> take() { return std::move(buf_); }
 
  private:
-  void raw(const void* p, std::size_t n);
   std::vector<std::uint8_t> buf_;
 };
 
@@ -101,7 +99,10 @@ class WireReader {
   Result<bool> boolean();
   Result<std::string> str();
   Result<std::vector<std::uint8_t>> blob();
-  Result<storage::Value> value();
+  /// The next `n` unprefixed bytes, checked against the remaining input;
+  /// the span views the reader's buffer.
+  Result<std::span<const std::uint8_t>> bytes(std::uint64_t n,
+                                              const char* what);
 
   /// Element count, pre-validated against the remaining bytes so callers
   /// can size containers from it.
@@ -190,9 +191,14 @@ void encode_status(const Status& status, WireWriter& w);
 /// kParseError. OK means "the peer reported success; the body follows".
 Status decode_status(WireReader& reader);
 
-/// Result tables / subgraph summaries. Tables ship schema + row values;
-/// subgraphs ship their instance counts (the full vertex/edge sets stay
-/// server-side, as named catalog objects).
+/// Result tables / subgraph summaries. Tables ship their schema, a u64 row
+/// count, then column by column: the validity bitmap as ceil(rows/64) u64
+/// words, then the payload — bool as packed u64 bit-words, int64/date as
+/// rows x i64, double as rows x f64 bit patterns, varchar as rows x u32
+/// codes (0 on NULL lanes) followed by the column's dictionary (u32 count,
+/// then the length-prefixed distinct strings in first-use order). Subgraphs
+/// ship their instance counts (the full vertex/edge sets stay server-side,
+/// as named catalog objects).
 void encode_results(const std::vector<exec::StatementResult>& results,
                     WireWriter& w);
 /// Decoded tables are rebuilt against `pool` (the client's interner).

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <filesystem>
 
+#include "boxed_oracle.hpp"
 #include "bsbm/generator.hpp"
 #include "bsbm/queries.hpp"
 #include "bsbm/schema.hpp"
@@ -144,6 +145,19 @@ TEST_F(QueryMixTest, AllQueriesRunGreen) {
     ASSERT_TRUE(r.is_ok()) << q.name << ": " << r.status().to_string();
     ASSERT_FALSE(r->empty()) << q.name;
     EXPECT_NE(r->back().table, nullptr) << q.name;
+  }
+}
+
+TEST_F(QueryMixTest, EveryResultTableMatchesBoxedAppends) {
+  for (const auto& q : all_queries()) {
+    auto r = db_->run_script(q.text, default_params());
+    ASSERT_TRUE(r.is_ok()) << q.name << ": " << r.status().to_string();
+    for (std::size_t i = 0; i < r->size(); ++i) {
+      const auto& table = (*r)[i].table;
+      if (table == nullptr) continue;
+      gems::testing::expect_matches_boxed(
+          *table, q.name + " statement " + std::to_string(i));
+    }
   }
 }
 

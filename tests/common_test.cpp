@@ -7,6 +7,7 @@
 #include <atomic>
 #include <mutex>
 #include <set>
+#include <thread>
 
 #include "common/bitset.hpp"
 #include "common/hash.hpp"
@@ -237,6 +238,51 @@ TEST(StringPoolTest, ConcurrentInternIsConsistent) {
   for (auto& f : futs) f.get();
   EXPECT_EQ(pool.size(), 100u);
   for (int t = 1; t < 4; ++t) EXPECT_EQ(ids[t], ids[0]);
+}
+
+TEST(StringPoolTest, ConcurrentViewWhileInterning) {
+  // One writer interns past several directory blocks (256, 512, 1024, ...
+  // entries) and arena chunks (every 97th string is wider than the first
+  // chunk); readers view every id published so far, with no lock.
+  StringPool pool;
+  constexpr int kStrings = 5000;
+  auto text = [](StringId id) {
+    return "s" + std::to_string(id) +
+           std::string(id % 97 == 0 ? 5000 : id % 13, 'x');
+  };
+  std::atomic<std::int64_t> published{-1};
+  std::atomic<bool> done{false};
+  std::atomic<int> mismatches{0};
+  std::atomic<std::uint64_t> views{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 3; ++t) {
+    readers.emplace_back([&, t] {
+      std::uint64_t n = 0;
+      for (StringId probe = static_cast<StringId>(t);
+           !done.load(std::memory_order_acquire); probe = probe * 31 + 7) {
+        const std::int64_t last = published.load(std::memory_order_acquire);
+        if (last < 0) continue;
+        const StringId id = probe % static_cast<StringId>(last + 1);
+        if (pool.view(id) != text(id)) mismatches.fetch_add(1);
+        ++n;
+      }
+      views.fetch_add(n);
+    });
+  }
+  for (int i = 0; i < kStrings; ++i) {
+    const StringId id = pool.intern(text(static_cast<StringId>(i)));
+    EXPECT_EQ(id, static_cast<StringId>(i));
+    published.store(id, std::memory_order_release);
+  }
+  done.store(true, std::memory_order_release);
+  for (auto& r : readers) r.join();
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_GT(views.load(), 0u);
+  EXPECT_EQ(pool.size(), static_cast<std::size_t>(kStrings));
+  pool.for_each([&](StringId id, std::string_view s) {
+    if (s != text(id)) mismatches.fetch_add(1);
+  });
+  EXPECT_EQ(mismatches.load(), 0);
 }
 
 // ---- PRNG -------------------------------------------------------------------

@@ -7,6 +7,7 @@
 #include <fstream>
 #include <thread>
 
+#include "boxed_oracle.hpp"
 #include "common/thread_pool.hpp"
 #include "exec/executor.hpp"
 #include "exec/lowering.hpp"
@@ -420,6 +421,51 @@ TEST_F(ExecTest, EdgeAttributeConditionAndSelection) {
   // Selecting the edge step yields the assoc-table attributes.
   EXPECT_EQ(sel.table->num_rows(), 3u);
   EXPECT_TRUE(sel.table->schema().find("e_product").has_value());
+}
+
+// ---- Typed result appends equal the boxed path ------------------------------
+
+TEST_F(ExecTest, GraphResultTablesMatchBoxedAppends) {
+  run_script(R"(
+    create table Gadgets(id varchar(10), flag bool, n integer, x float,
+                         d date, note varchar(20))
+    create table Widgets(id varchar(10), n float, gadget varchar(10))
+  )");
+  // g2 and w2 carry NULL in every attribute kind; g3 stores -0.0.
+  fill("Gadgets",
+       "g1,true,1,1.5,2008-01-01,hello\ng2,,,,,\n"
+       "g3,false,-3,-0.0,2009-02-03,hello\n");
+  fill("Widgets", "w1,2.5,g1\nw2,,g2\nw3,7,g3\n");
+  run_script(R"(
+    create vertex GadgetVtx(id) from table Gadgets
+    create vertex WidgetVtx(id) from table Widgets
+    create edge part with vertices (WidgetVtx, GadgetVtx)
+      where WidgetVtx.gadget = GadgetVtx.id
+  )");
+  const std::vector<std::pair<std::string, std::size_t>> queries = {
+      // NULL attributes of every kind; `part` has no attribute table.
+      {"select * from graph WidgetVtx() --part--> GadgetVtx() into table T1",
+       3},
+      // Edge with an attribute table (ProductFeatures), and the or-branch
+      // whose FeatureVtx/TypeVtx columns are missing in the other network.
+      {"select * from graph ProductVtx(id = 'p1') --feature--> FeatureVtx() "
+       "or ProductVtx(id = 'p4') --type--> TypeVtx() into table T2",
+       4},
+      {"select e from graph ProductVtx() --def e: feature--> FeatureVtx() "
+       "into table T3",
+       8},
+      // Float in the first network, integer in the second: the kinds
+      // differ, so the second network's cells are converted.
+      {"select x.n from graph def x: WidgetVtx() or def x: GadgetVtx() "
+       "into table T4",
+       6},
+  };
+  for (const auto& [text, rows] : queries) {
+    auto r = run_script(text);
+    ASSERT_NE(r.table, nullptr) << text;
+    EXPECT_EQ(r.table->num_rows(), rows) << text;
+    testing::expect_matches_boxed(*r.table, text);
+  }
 }
 
 // ---- Chaining graph -> table (the paper's standard pattern) --------------------

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -317,6 +318,33 @@ TEST(NetTest, RejectsUnsupportedWireVersion) {
   server.stop();
 }
 
+TEST(NetTest, RejectsVersionTwoPeers) {
+  // Version 3 changed the result-table layout: a version-2 handshake is
+  // refused at the frame header, before its payload is read.
+  Server server(shared_db());
+  ASSERT_TRUE(server.start().is_ok());
+  RawConn conn;
+  ASSERT_TRUE(conn.open(server.port(), /*handshake=*/false).is_ok());
+  const std::vector<std::uint8_t> payload =
+      encode_handshake_request({2, "old-client"});
+  WireWriter frame;
+  frame.u32(kFrameMagic);
+  frame.u16(2);
+  frame.u8(static_cast<std::uint8_t>(Verb::kHandshake));
+  frame.u8(0);
+  frame.u64(1);
+  frame.u32(static_cast<std::uint32_t>(payload.size()));
+  frame.raw(payload.data(), payload.size());
+  ASSERT_TRUE(send_all(conn.sock, frame.buffer()).is_ok());
+  auto responses = conn.collect(1);
+  ASSERT_EQ(responses.count(0), 1u);
+  EXPECT_EQ(responses.at(0).code(), StatusCode::kParseError);
+  EXPECT_NE(responses.at(0).message().find("unsupported wire version 2"),
+            std::string::npos)
+      << responses.at(0).to_string();
+  server.stop();
+}
+
 // ---- Hardened IR / payload decoding ---------------------------------------
 
 TEST(NetTest, DecodeScriptSurvivesTruncationAtEveryByte) {
@@ -363,6 +391,278 @@ TEST(NetTest, DecodeParamsRejectsHostileCount) {
   auto decoded = graql::decode_params(bytes);
   ASSERT_FALSE(decoded.is_ok());
   EXPECT_EQ(decoded.status().code(), StatusCode::kParseError);
+}
+
+// ---- Columnar result tables (wire v3) -------------------------------------
+
+/// Encodes `results` and decodes them into `pool`, as server and client do.
+Result<std::vector<StatementResult>> round_trip(
+    const std::vector<StatementResult>& results, StringPool& pool) {
+  WireWriter w;
+  encode_results(results, w);
+  const std::vector<std::uint8_t> bytes = w.take();
+  WireReader reader(bytes);
+  auto decoded = decode_results(reader, pool);
+  if (decoded.is_ok() && !reader.at_end()) {
+    return parse_error("trailing bytes after the results");
+  }
+  return decoded;
+}
+
+StatementResult table_result(storage::TablePtr table) {
+  StatementResult r;
+  r.kind = StatementResult::Kind::kTable;
+  r.table = std::move(table);
+  return r;
+}
+
+/// Every cell of `a` and `b` equal, doubles by bit pattern.
+void expect_same_cells(const storage::Table& a, const storage::Table& b) {
+  ASSERT_EQ(a.schema().to_string(), b.schema().to_string());
+  ASSERT_EQ(a.num_rows(), b.num_rows());
+  for (std::size_t c = 0; c < a.num_columns(); ++c) {
+    const auto& x = a.column(static_cast<storage::ColumnIndex>(c));
+    const auto& y = b.column(static_cast<storage::ColumnIndex>(c));
+    EXPECT_TRUE(x.validity() == y.validity()) << "column " << c;
+    for (storage::RowIndex r = 0; r < a.num_rows(); ++r) {
+      if (x.is_null(r)) continue;
+      switch (x.type().kind) {
+        case storage::TypeKind::kBool:
+        case storage::TypeKind::kInt64:
+        case storage::TypeKind::kDate:
+          EXPECT_EQ(x.int64_at(r), y.int64_at(r)) << c << "," << r;
+          break;
+        case storage::TypeKind::kDouble:
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(x.double_at(r)),
+                    std::bit_cast<std::uint64_t>(y.double_at(r)))
+              << c << "," << r;
+          break;
+        case storage::TypeKind::kVarchar:
+          EXPECT_EQ(a.pool().view(x.string_at(r)),
+                    b.pool().view(y.string_at(r)))
+              << c << "," << r;
+          break;
+      }
+    }
+  }
+}
+
+TEST(ResultCodecTest, RoundTripsEveryKindWithNulls) {
+  StringPool server_pool;
+  auto schema = storage::Schema::create({
+      {"flag", storage::DataType::boolean()},
+      {"n", storage::DataType::int64()},
+      {"x", storage::DataType::float64()},
+      {"d", storage::DataType::date()},
+      {"s", storage::DataType::varchar(6)},
+  });
+  ASSERT_TRUE(schema.is_ok());
+  auto table =
+      std::make_shared<storage::Table>("T", *schema, server_pool);
+  const double nan_payload =
+      std::bit_cast<double>(std::uint64_t{0x7ff8dead0000beefull});
+  const std::vector<std::vector<Value>> rows = {
+      {Value::boolean(true), Value::int64(-7), Value::float64(-0.0),
+       Value::date(13000), Value::varchar("maxlen")},  // width == varchar(6)
+      {Value::null(), Value::null(), Value::null(), Value::null(),
+       Value::null()},
+      {Value::boolean(false), Value::int64(INT64_MIN),
+       Value::float64(nan_payload), Value::date(-1), Value::varchar("")},
+      {Value::null(), Value::int64(0), Value::float64(1.5), Value::null(),
+       Value::varchar("maxlen")},  // repeated string
+  };
+  // 300 more rows cross validity word boundaries and repeat 101 distinct
+  // strings, enough to grow the encoder's dictionary table twice.
+  std::vector<std::vector<Value>> all = rows;
+  for (int i = 0; i < 300; ++i) {
+    all.push_back({Value::boolean(i % 3 == 0),
+                   i % 5 == 0 ? Value::null() : Value::int64(i),
+                   Value::float64(i * 0.25), Value::date(i),
+                   Value::varchar(i % 3 == 0 ? "ab"
+                                             : "s" + std::to_string(i % 150))});
+  }
+  for (const auto& row : all) ASSERT_TRUE(table->append_row(row).is_ok());
+
+  auto empty = std::make_shared<storage::Table>("E", *schema, server_pool);
+  auto no_columns = std::make_shared<storage::Table>(
+      "Z", *storage::Schema::create({}), server_pool);
+  no_columns->bump_rows(3);
+
+  StringPool client_pool;
+  client_pool.intern("ab");  // client ids differ from the server's
+  auto decoded = round_trip(
+      {table_result(table), table_result(empty), table_result(no_columns)},
+      client_pool);
+  ASSERT_TRUE(decoded.is_ok()) << decoded.status().to_string();
+  ASSERT_EQ(decoded->size(), 3u);
+  expect_same_cells(*table, *(*decoded)[0].table);
+  expect_same_cells(*empty, *(*decoded)[1].table);
+  EXPECT_EQ((*decoded)[1].table->num_rows(), 0u);
+  EXPECT_EQ((*decoded)[2].table->num_columns(), 0u);
+  EXPECT_EQ((*decoded)[2].table->num_rows(), 3u);
+  // Each distinct string was interned once: "", "ab" (already there),
+  // "maxlen" and the 100 "s<k>" with k % 3 != 0.
+  EXPECT_EQ(client_pool.size(), 103u);
+}
+
+TEST(ResultCodecTest, RepeatedStringsCrossTheWireOnce) {
+  StringPool pool;
+  auto schema =
+      storage::Schema::create({{"s", storage::DataType::varchar(64)}});
+  ASSERT_TRUE(schema.is_ok());
+  auto table = std::make_shared<storage::Table>("T", *schema, pool);
+  const std::string wide(64, 'w');
+  for (int i = 0; i < 1000; ++i) {
+    ASSERT_TRUE(table->append_row(std::vector<Value>{Value::varchar(wide)})
+                    .is_ok());
+  }
+  WireWriter w;
+  encode_results({table_result(table)}, w);
+  // One dictionary entry plus a 4-byte code per row, not 1000 copies.
+  EXPECT_LT(w.buffer().size(), 1000u * 4 + 64 + 256);
+}
+
+TEST(ResultCodecTest, TruncationAtEveryByteFailsCleanly) {
+  StringPool pool;
+  auto schema = storage::Schema::create(
+      {{"n", storage::DataType::int64()},
+       {"b", storage::DataType::boolean()},
+       {"s", storage::DataType::varchar(8)}});
+  ASSERT_TRUE(schema.is_ok());
+  auto table = std::make_shared<storage::Table>("T", *schema, pool);
+  for (int i = 0; i < 5; ++i) {
+    ASSERT_TRUE(table
+                    ->append_row(std::vector<Value>{
+                        Value::int64(i), Value::boolean(i % 2 == 0),
+                        i == 3 ? Value::null() : Value::varchar("v")})
+                    .is_ok());
+  }
+  WireWriter w;
+  encode_results({table_result(table)}, w);
+  const std::vector<std::uint8_t> bytes = w.take();
+  for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
+    StringPool client;
+    WireReader reader(std::span<const std::uint8_t>(bytes.data(), cut));
+    auto decoded = decode_results(reader, client);  // must not crash
+    ASSERT_FALSE(decoded.is_ok()) << "truncation at byte " << cut;
+    EXPECT_EQ(decoded.status().code(), StatusCode::kParseError) << cut;
+  }
+}
+
+/// A one-result frame with a single column of `kind` (varchar width
+/// `width`) and `rows` rows, up to where the column's blocks begin.
+WireWriter hostile_table(storage::TypeKind kind, std::uint32_t width,
+                         std::uint64_t rows) {
+  WireWriter w;
+  w.u32(1);  // one result
+  w.u8(static_cast<std::uint8_t>(StatementResult::Kind::kTable));
+  w.boolean(false);  // truncated
+  w.u8(0);           // into kNone
+  w.str("");
+  w.str("");
+  w.boolean(true);  // has table
+  w.str("T");
+  w.u32(1);
+  w.str("c");
+  w.u8(static_cast<std::uint8_t>(kind));
+  w.u32(width);
+  w.u64(rows);
+  return w;
+}
+
+Status decode_hostile(WireWriter& w) {
+  StringPool pool;
+  WireReader reader(w.buffer());
+  return decode_results(reader, pool).status();
+}
+
+TEST(ResultCodecTest, RejectsHostileColumnBlocks) {
+  using storage::TypeKind;
+  auto expect_parse_error = [](WireWriter w, const char* needle) {
+    const Status st = decode_hostile(w);
+    EXPECT_EQ(st.code(), StatusCode::kParseError) << st.to_string();
+    EXPECT_NE(st.message().find(needle), std::string::npos)
+        << st.to_string();
+  };
+  {  // Validity block shorter than ceil(100 / 64) words.
+    WireWriter w = hostile_table(TypeKind::kInt64, 0, 100);
+    w.u64(~0ull);
+    expect_parse_error(std::move(w), "validity block");
+  }
+  {  // Validity bits set past the row count.
+    WireWriter w = hostile_table(TypeKind::kInt64, 0, 3);
+    w.u64(0xffull);
+    for (int i = 0; i < 3; ++i) w.u64(1);
+    expect_parse_error(std::move(w), "validity block");
+  }
+  {  // Fixed-width payload shorter than the row count.
+    WireWriter w = hostile_table(TypeKind::kDouble, 0, 3);
+    w.u64(0x7ull);
+    w.u64(0);
+    w.u64(0);
+    expect_parse_error(std::move(w), "payload");
+  }
+  {  // Row count past the 32-bit row index range.
+    WireWriter w = hostile_table(TypeKind::kInt64, 0, 1ull << 40);
+    expect_parse_error(std::move(w), "row count");
+  }
+  {  // Code at the dictionary size.
+    WireWriter w = hostile_table(TypeKind::kVarchar, 8, 2);
+    w.u64(0x3ull);
+    w.u32(0);
+    w.u32(1);
+    w.u32(1);
+    w.str("ab");
+    expect_parse_error(std::move(w), "dictionary size");
+  }
+  {  // A NULL lane's code is not looked up; a valid one is.
+    WireWriter w = hostile_table(TypeKind::kVarchar, 8, 2);
+    w.u64(0x1ull);
+    w.u32(0);
+    w.u32(0);
+    w.u32(0);
+    expect_parse_error(std::move(w), "dictionary size");
+  }
+  {  // Dictionary string wider than the column.
+    WireWriter w = hostile_table(TypeKind::kVarchar, 2, 1);
+    w.u64(0x1ull);
+    w.u32(0);
+    w.u32(1);
+    w.str("abc");
+    expect_parse_error(std::move(w), "exceeds");
+  }
+  {  // Dictionary count past the remaining bytes.
+    WireWriter w = hostile_table(TypeKind::kVarchar, 8, 1);
+    w.u64(0x1ull);
+    w.u32(0);
+    w.u32(1u << 30);
+    w.str("ab");
+    expect_parse_error(std::move(w), "string dictionary");
+  }
+  {  // Dictionary string length past the remaining bytes.
+    WireWriter w = hostile_table(TypeKind::kVarchar, 8, 1);
+    w.u64(0x1ull);
+    w.u32(0);
+    w.u32(1);
+    w.u32(1u << 30);
+    expect_parse_error(std::move(w), "dictionary string");
+  }
+  {  // Codes block shorter than the row count.
+    WireWriter w = hostile_table(TypeKind::kVarchar, 8, 4);
+    w.u64(0xfull);
+    w.u32(0);
+    expect_parse_error(std::move(w), "string codes");
+  }
+  {  // A well-formed frame built the same way decodes.
+    WireWriter w = hostile_table(TypeKind::kVarchar, 8, 2);
+    w.u64(0x1ull);
+    w.u32(0);
+    w.u32(7);  // NULL lane: ignored
+    w.u32(1);
+    w.str("ab");
+    w.boolean(false);  // no subgraph
+    EXPECT_TRUE(decode_hostile(w).is_ok()) << decode_hostile(w).to_string();
+  }
 }
 
 // ---- Self-describing stats payload ----------------------------------------
@@ -881,6 +1181,58 @@ TEST(NetConcurrencyTest, EightReadersByteIdenticalAcrossWorkers) {
   EXPECT_NE(render(*stats, "matcher.").find("matcher.queries "),
             std::string::npos);
   EXPECT_GE(stats->epoch.published, 1u);
+  server.stop();
+}
+
+TEST(NetConcurrencyTest, FourSessionsBerlinMixMatchesSerialExecution) {
+  // Q1-Q9 from four sessions at once: every result crosses the columnar
+  // codec while the other sessions read the same string pool, and must
+  // equal serial in-process execution.
+  relational::ParamMap params = berlin_params();
+  params.emplace("Producer1", Value::varchar("pr0"));
+  params.emplace("Date1", Value::date(storage::civil_to_days(2008, 6, 15)));
+  const auto queries = bsbm::all_queries();
+  std::vector<std::string> serial;
+  for (const auto& q : queries) {
+    auto r = shared_db().run_script(q.text, params);
+    ASSERT_TRUE(r.is_ok()) << q.name << ": " << r.status().to_string();
+    serial.push_back(render_results(r.value()));
+  }
+
+  ServerOptions options;
+  options.num_workers = 4;
+  Server server(shared_db(), options);
+  ASSERT_TRUE(server.start().is_ok());
+  constexpr int kSessions = 4;
+  constexpr int kRounds = 2;
+  std::atomic<int> failures{0};
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  for (int c = 0; c < kSessions; ++c) {
+    threads.emplace_back([&, c] {
+      Client client = make_client(server.port());
+      if (!client.connect().is_ok()) {
+        failures.fetch_add(1);
+        return;
+      }
+      for (int round = 0; round < kRounds; ++round) {
+        for (std::size_t k = 0; k < queries.size(); ++k) {
+          // Each session walks the mix from a different starting query.
+          const std::size_t q = (k + static_cast<std::size_t>(c)) %
+                                queries.size();
+          auto r = client.run_script(queries[q].text, params);
+          if (!r.is_ok()) {
+            failures.fetch_add(1);
+          } else if (render_results(r.value()) != serial[q]) {
+            mismatches.fetch_add(1);
+          }
+        }
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(mismatches.load(), 0);
   server.stop();
 }
 
