@@ -5,9 +5,6 @@
 
 namespace gems::cluster {
 
-using net::WireReader;
-using net::WireWriter;
-
 std::string_view bsp_kind_name(BspKind kind) noexcept {
   switch (kind) {
     case BspKind::kHello: return "hello";
@@ -26,7 +23,7 @@ std::string_view bsp_kind_name(BspKind kind) noexcept {
 }
 
 std::vector<std::uint8_t> encode_bsp_frame(const BspFrame& frame) {
-  WireWriter w;
+  ByteWriter w;
   w.buffer().reserve(kBspHeaderBytes + frame.payload.size());
   w.u32(kBspMagic);
   w.u16(kBspVersion);
@@ -50,7 +47,7 @@ Result<BspFrame> recv_bsp_frame(const net::Socket& socket,
                                 std::size_t max_frame_bytes) {
   std::uint8_t header[kBspHeaderBytes];
   GEMS_RETURN_IF_ERROR(net::recv_all(socket, header));
-  WireReader r(header);
+  ByteReader r(header, "BSP frame");
   GEMS_ASSIGN_OR_RETURN(std::uint32_t magic, r.u32());
   if (magic != kBspMagic) {
     return parse_error(
@@ -99,7 +96,7 @@ Result<BspFrame> recv_bsp_frame(const net::Socket& socket,
 // ---- Control payloads ------------------------------------------------------
 
 std::vector<std::uint8_t> encode_hello(const HelloPayload& p) {
-  WireWriter w;
+  ByteWriter w;
   w.u32(p.rank);
   w.u32(p.state_crc);
   w.str(p.worker_name);
@@ -107,7 +104,7 @@ std::vector<std::uint8_t> encode_hello(const HelloPayload& p) {
 }
 
 Result<HelloPayload> decode_hello(std::span<const std::uint8_t> bytes) {
-  WireReader r(bytes);
+  ByteReader r(bytes, "BSP payload");
   HelloPayload out;
   GEMS_ASSIGN_OR_RETURN(out.rank, r.u32());
   GEMS_ASSIGN_OR_RETURN(out.state_crc, r.u32());
@@ -116,14 +113,14 @@ Result<HelloPayload> decode_hello(std::span<const std::uint8_t> bytes) {
 }
 
 std::vector<std::uint8_t> encode_welcome(const WelcomePayload& p) {
-  WireWriter w;
+  ByteWriter w;
   w.u32(p.num_ranks);
   w.boolean(p.sync_needed);
   return w.take();
 }
 
 Result<WelcomePayload> decode_welcome(std::span<const std::uint8_t> bytes) {
-  WireReader r(bytes);
+  ByteReader r(bytes, "BSP payload");
   WelcomePayload out;
   GEMS_ASSIGN_OR_RETURN(out.num_ranks, r.u32());
   GEMS_ASSIGN_OR_RETURN(out.sync_needed, r.boolean());
@@ -131,7 +128,7 @@ Result<WelcomePayload> decode_welcome(std::span<const std::uint8_t> bytes) {
 }
 
 std::vector<std::uint8_t> encode_job(const JobPayload& p) {
-  WireWriter w;
+  ByteWriter w;
   w.u64(p.job_id);
   w.u32(p.num_ranks);
   w.u32(p.network_index);
@@ -142,7 +139,7 @@ std::vector<std::uint8_t> encode_job(const JobPayload& p) {
 }
 
 Result<JobPayload> decode_job(std::span<const std::uint8_t> bytes) {
-  WireReader r(bytes);
+  ByteReader r(bytes, "BSP payload");
   JobPayload out;
   GEMS_ASSIGN_OR_RETURN(out.job_id, r.u64());
   GEMS_ASSIGN_OR_RETURN(out.num_ranks, r.u32());
@@ -154,7 +151,7 @@ Result<JobPayload> decode_job(std::span<const std::uint8_t> bytes) {
 }
 
 std::vector<std::uint8_t> encode_job_done(const JobDonePayload& p) {
-  WireWriter w;
+  ByteWriter w;
   w.u64(p.job_id);
   w.u64(p.messages);
   w.u64(p.payload_bytes);
@@ -168,7 +165,7 @@ std::vector<std::uint8_t> encode_job_done(const JobDonePayload& p) {
 }
 
 Result<JobDonePayload> decode_job_done(std::span<const std::uint8_t> bytes) {
-  WireReader r(bytes);
+  ByteReader r(bytes, "BSP payload");
   JobDonePayload out;
   GEMS_ASSIGN_OR_RETURN(out.job_id, r.u64());
   GEMS_ASSIGN_OR_RETURN(out.messages, r.u64());
@@ -183,13 +180,13 @@ Result<JobDonePayload> decode_job_done(std::span<const std::uint8_t> bytes) {
 }
 
 std::vector<std::uint8_t> encode_error(const Status& status) {
-  WireWriter w;
+  ByteWriter w;
   net::encode_status(status, w);
   return w.take();
 }
 
 Status decode_error(std::span<const std::uint8_t> bytes) {
-  WireReader r(bytes);
+  ByteReader r(bytes, "BSP payload");
   const Status status = net::decode_status(r);
   if (status.is_ok()) {
     return parse_error("BSP error frame carried an OK status");

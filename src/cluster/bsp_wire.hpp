@@ -2,7 +2,7 @@
 // distributed matcher's superstep traffic (dist::Message) and the
 // coordinator/rank control plane across real TCP connections.
 //
-// Frame layout (little-endian):
+// Frame layout (in the shared codec, common/bytes.hpp):
 //   u32 magic        "GBSP" (0x47425350)
 //   u16 version      BSP wire version (1)
 //   u8  kind         BspKind
@@ -84,7 +84,7 @@ Result<BspFrame> recv_bsp_frame(const net::Socket& socket,
                                 std::size_t max_frame_bytes);
 
 // ---- Control payloads ------------------------------------------------------
-// Encoded with net::WireWriter / decoded with the hardened WireReader.
+// Encoded and bounds-checked by the shared codec (common/bytes.hpp).
 
 struct HelloPayload {
   std::uint32_t rank = 0;

@@ -233,8 +233,15 @@ Result<exec::MatchResult> Coordinator::match_distributed(
   }
 
   // ---- Merge: rank 0 carries the gathered domains ----------------------
-  GEMS_ASSIGN_OR_RETURN(std::vector<exec::Domain> domains,
-                        dist::decode_domains(done[0]->domains));
+  std::vector<std::size_t> type_sizes(db_.graph().num_vertex_types());
+  for (std::size_t t = 0; t < type_sizes.size(); ++t) {
+    type_sizes[t] =
+        db_.graph().vertex_type(static_cast<graph::VertexTypeId>(t))
+            .num_vertices();
+  }
+  GEMS_ASSIGN_OR_RETURN(
+      std::vector<exec::Domain> domains,
+      dist::decode_domains(done[0]->domains, net.num_vars(), type_sizes));
   exec::MatchResult result;
   result.domains = std::move(domains);
   result.matched_edges = exec::matched_edge_sets(
@@ -444,7 +451,7 @@ void Coordinator::reader_loop(std::uint32_t rank) {
         break;
       }
       case BspKind::kSyncAck: {
-        net::WireReader r(frame->payload);
+        ByteReader r(frame->payload, "frame");
         Result<std::uint32_t> crc = r.u32();
         if (crc.is_ok()) {
           sync::MutexLock lock(control_mutex_);

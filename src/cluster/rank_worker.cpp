@@ -87,7 +87,7 @@ Status RankWorker::handle_sync(const BspFrame& frame) {
   BspFrame ack;
   ack.kind = BspKind::kSyncAck;
   ack.from = options_.rank;
-  net::WireWriter w;
+  ByteWriter w;
   w.u32(state_crc_);
   ack.payload = w.take();
   return send_bsp_frame(socket_, ack);

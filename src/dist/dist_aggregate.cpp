@@ -1,7 +1,6 @@
 #include "dist/dist_aggregate.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <map>
 
 #include "relational/row_key.hpp"
@@ -101,68 +100,103 @@ void merge(Partial& into, const Partial& from) {
   }
 }
 
-// ---- Value wire format (kind byte + raw 64 bits) -------------------------
+// ---- Partials wire format ---------------------------------------------------
+// Per group: u32 key length + key bytes, u32 representative row, then per
+// aggregate: i64 count, i64 isum, f64 dsum, u8 has_value, and min and max
+// as (u8 kind, u64 raw bits) — varchar payloads are interned ids.
 
-void put_value(std::vector<std::uint8_t>& out, const Value& v,
-               StringPool& pool) {
+void put_value(ByteWriter& w, const Value& v, StringPool& pool) {
   if (v.is_null()) {
-    out.push_back(0);
-    put_u64(out, 0);
+    w.u8(0);
+    w.u64(0);
     return;
   }
-  std::uint64_t raw = 0;
   switch (v.kind()) {
     case TypeKind::kBool:
-      out.push_back(1);
-      raw = v.as_bool() ? 1 : 0;
-      break;
+      w.u8(1);
+      w.u64(v.as_bool() ? 1 : 0);
+      return;
     case TypeKind::kInt64:
-      out.push_back(2);
-      raw = static_cast<std::uint64_t>(v.as_int64());
-      break;
+      w.u8(2);
+      w.i64(v.as_int64());
+      return;
     case TypeKind::kDate:
-      out.push_back(3);
-      raw = static_cast<std::uint64_t>(v.as_int64());
-      break;
-    case TypeKind::kDouble: {
-      out.push_back(4);
-      const double d = v.as_double();
-      static_assert(sizeof(d) == sizeof(raw));
-      std::memcpy(&raw, &d, sizeof(raw));
-      break;
-    }
+      w.u8(3);
+      w.i64(v.as_int64());
+      return;
+    case TypeKind::kDouble:
+      w.u8(4);
+      w.f64(v.as_double());
+      return;
     case TypeKind::kVarchar:
-      out.push_back(5);
-      raw = pool.intern(v.as_string());
-      break;
+      w.u8(5);
+      w.u64(pool.intern(v.as_string()));
+      return;
   }
-  put_u64(out, raw);
 }
 
-Value get_value(std::span<const std::uint8_t> in, std::size_t& pos,
-                const StringPool& pool) {
-  const std::uint8_t kind = in[pos++];
-  const std::uint64_t raw = get_u64(in, pos);
+Result<Value> get_value(ByteReader& r, const StringPool& pool) {
+  const std::size_t at = r.position();
+  GEMS_ASSIGN_OR_RETURN(std::uint8_t kind, r.u8("value kind"));
   switch (kind) {
     case 0:
+      GEMS_RETURN_IF_ERROR(r.u64("null payload").status());
       return Value::null();
-    case 1:
+    case 1: {
+      GEMS_ASSIGN_OR_RETURN(std::uint64_t raw, r.u64("bool"));
       return Value::boolean(raw != 0);
-    case 2:
-      return Value::int64(static_cast<std::int64_t>(raw));
-    case 3:
-      return Value::date(static_cast<std::int64_t>(raw));
-    case 4: {
-      double d;
-      std::memcpy(&d, &raw, sizeof(d));
-      return Value::float64(d);
     }
-    case 5:
-      return Value::varchar(
-          std::string(pool.view(static_cast<StringId>(raw))));
+    case 2: {
+      GEMS_ASSIGN_OR_RETURN(std::int64_t v, r.i64("int64"));
+      return Value::int64(v);
+    }
+    case 3: {
+      GEMS_ASSIGN_OR_RETURN(std::int64_t v, r.i64("date"));
+      return Value::date(v);
+    }
+    case 4: {
+      GEMS_ASSIGN_OR_RETURN(double v, r.f64("double"));
+      return Value::float64(v);
+    }
+    case 5: {
+      GEMS_ASSIGN_OR_RETURN(std::uint64_t id, r.u64("string id"));
+      if (id >= pool.size()) {
+        return r.error("string id " + std::to_string(id) + " outside pool", at);
+      }
+      return Value::varchar(std::string(pool.view(static_cast<StringId>(id))));
+    }
     default:
-      GEMS_UNREACHABLE("bad value wire kind");
+      return r.error("bad value kind " + std::to_string(kind), at);
   }
+}
+
+/// Merges one rank's shipped partials into `merged`.
+Status merge_partials(std::span<const std::uint8_t> payload,
+                      std::size_t num_aggs, const StringPool& pool,
+                      std::map<std::string, GroupState>& merged) {
+  ByteReader r(payload, "partials payload");
+  GEMS_ASSIGN_OR_RETURN(std::uint32_t groups, r.count("group list", 8));
+  for (std::uint32_t g = 0; g < groups; ++g) {
+    GEMS_ASSIGN_OR_RETURN(std::string key, r.str("group key"));
+    GEMS_ASSIGN_OR_RETURN(RowIndex representative, r.u32("representative"));
+    auto [it, inserted] = merged.emplace(std::move(key), GroupState{});
+    if (inserted) {
+      it->second.representative = representative;
+      it->second.partials.resize(num_aggs);
+    }
+    for (std::size_t a = 0; a < num_aggs; ++a) {
+      Partial p;
+      GEMS_ASSIGN_OR_RETURN(p.count, r.i64("count"));
+      GEMS_ASSIGN_OR_RETURN(p.isum, r.i64("integer sum"));
+      GEMS_ASSIGN_OR_RETURN(p.dsum, r.f64("double sum"));
+      GEMS_ASSIGN_OR_RETURN(p.has_value, r.boolean("has value"));
+      GEMS_ASSIGN_OR_RETURN(p.min, get_value(r, pool));
+      GEMS_ASSIGN_OR_RETURN(p.max, get_value(r, pool));
+      merge(it->second.partials[a], p);
+    }
+  }
+  if (!r.at_end()) return r.error("trailing bytes", r.position());
+  return Status::ok();
 }
 
 Result<DataType> agg_output_type(const AggSpec& spec, const Table& src) {
@@ -212,6 +246,7 @@ Result<TablePtr> distributed_group_by(const Table& src,
   SimCluster cluster(num_ranks);
   // Rank 0's merged groups (ordered by key bytes for determinism).
   std::map<std::string, GroupState> merged;
+  Status merged_status = Status::ok();  // rank 0's decode of the partials
   StringPool& pool = src.pool();
 
   cluster.run([&](RankCtx& ctx) {
@@ -236,24 +271,21 @@ Result<TablePtr> distributed_group_by(const Table& src,
 
     if (rank != 0) {
       // Ship partials to rank 0.
-      std::vector<std::uint8_t> payload;
-      put_u32(payload, static_cast<std::uint32_t>(local.size()));
+      ByteWriter payload;
+      payload.u32(static_cast<std::uint32_t>(local.size()));
       for (const auto& [key, state] : local) {
-        put_u32(payload, static_cast<std::uint32_t>(key.size()));
-        payload.insert(payload.end(), key.begin(), key.end());
-        put_u32(payload, state.representative);
+        payload.str(key);
+        payload.u32(state.representative);
         for (const Partial& p : state.partials) {
-          put_u64(payload, static_cast<std::uint64_t>(p.count));
-          put_u64(payload, static_cast<std::uint64_t>(p.isum));
-          std::uint64_t dbits;
-          std::memcpy(&dbits, &p.dsum, sizeof(dbits));
-          put_u64(payload, dbits);
-          payload.push_back(p.has_value ? 1 : 0);
+          payload.i64(p.count);
+          payload.i64(p.isum);
+          payload.f64(p.dsum);
+          payload.boolean(p.has_value);
           put_value(payload, p.min, pool);
           put_value(payload, p.max, pool);
         }
       }
-      ctx.send(0, kTagPartials, payload);
+      ctx.send(0, kTagPartials, payload.buffer());
       return;
     }
 
@@ -261,34 +293,12 @@ Result<TablePtr> distributed_group_by(const Table& src,
     for (int i = 0; i < n - 1; ++i) {
       Message m = ctx.recv();
       GEMS_CHECK(m.tag == kTagPartials);
-      std::size_t pos = 0;
-      const std::uint32_t groups = get_u32(m.payload, pos);
-      for (std::uint32_t g = 0; g < groups; ++g) {
-        const std::uint32_t key_len = get_u32(m.payload, pos);
-        std::string key(reinterpret_cast<const char*>(m.payload.data() +
-                                                      pos),
-                        key_len);
-        pos += key_len;
-        const RowIndex representative = get_u32(m.payload, pos);
-        auto [it, inserted] = merged.emplace(std::move(key), GroupState{});
-        if (inserted) {
-          it->second.representative = representative;
-          it->second.partials.resize(aggs.size());
-        }
-        for (std::size_t a = 0; a < aggs.size(); ++a) {
-          Partial p;
-          p.count = static_cast<std::int64_t>(get_u64(m.payload, pos));
-          p.isum = static_cast<std::int64_t>(get_u64(m.payload, pos));
-          const std::uint64_t dbits = get_u64(m.payload, pos);
-          std::memcpy(&p.dsum, &dbits, sizeof(p.dsum));
-          p.has_value = m.payload[pos++] != 0;
-          p.min = get_value(m.payload, pos, pool);
-          p.max = get_value(m.payload, pos, pool);
-          merge(it->second.partials[a], p);
-        }
+      if (merged_status.is_ok()) {
+        merged_status = merge_partials(m.payload, aggs.size(), pool, merged);
       }
     }
   });
+  GEMS_RETURN_IF_ERROR(merged_status);
 
   // SQL scalar aggregation: one row even for empty input.
   if (keys.empty() && merged.empty()) {

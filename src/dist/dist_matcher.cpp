@@ -44,6 +44,25 @@ bool edge_passes(const ConstraintNetwork& net, const GraphView& graph,
   return true;
 }
 
+/// Merges a peer's activations — (vertex type, vertex) u32 pairs — into
+/// `support`. The bytes come from another rank: a malformed message
+/// fail-stops this rank, like a wrong tag does, and never writes out of
+/// bounds. Senders only activate types of the shared `support` shape.
+void merge_activations(const Message& m, Domain& support) {
+  GEMS_CHECK(m.tag == kTagActivations);
+  ByteReader r(m.payload, "activation payload");
+  while (!r.at_end()) {
+    const Result<std::uint32_t> type = r.u32("vertex type");
+    const Result<std::uint32_t> v = r.u32("vertex");
+    GEMS_CHECK_MSG(type.is_ok() && v.is_ok(), "truncated activation payload");
+    const auto it = support.sets.find(static_cast<VertexTypeId>(*type));
+    GEMS_CHECK_MSG(it != support.sets.end() && it->first == *type &&
+                       *v < it->second.size(),
+                   "activation outside the domain shape");
+    it->second.set(*v);
+  }
+}
+
 Domain empty_like(const GraphView& graph,
                   const std::vector<VertexTypeId>& types) {
   Domain d;
@@ -108,24 +127,12 @@ void run_match_rank(const ConstraintNetwork& net, const GraphView& graph,
     // One BSP exchange per hop: expand owned vertices, send remote
     // activations to their owners, merge, filter locally.
     auto exchange_domain = [&](Domain support,
-                               std::vector<std::vector<std::uint8_t>>
-                                   outbox) {
+                               std::vector<ByteWriter> outbox) {
       for (int peer = 0; peer < n; ++peer) {
         if (peer == rank) continue;
-        comm.send(peer, kTagActivations, outbox[peer]);
+        comm.send(peer, kTagActivations, outbox[peer].buffer());
       }
-      for (int i = 0; i < n - 1; ++i) {
-        Message m = comm.recv();
-        GEMS_CHECK(m.tag == kTagActivations);
-        std::size_t pos = 0;
-        while (pos < m.payload.size()) {
-          const VertexTypeId type =
-              static_cast<VertexTypeId>(get_u32(m.payload, pos));
-          const VertexIndex v = get_u32(m.payload, pos);
-          auto it = support.sets.find(type);
-          if (it != support.sets.end()) it->second.set(v);
-        }
-      }
+      for (int i = 0; i < n - 1; ++i) merge_activations(comm.recv(), support);
       comm.barrier();
       return support;
     };
@@ -186,8 +193,7 @@ void run_match_rank(const ConstraintNetwork& net, const GraphView& graph,
             support.sets.emplace(
                 t, DynamicBitset(graph.vertex_type(t).num_vertices()));
           }
-          std::vector<std::vector<std::uint8_t>> outbox(
-              static_cast<std::size_t>(n));
+          std::vector<ByteWriter> outbox(static_cast<std::size_t>(n));
           auto traverse = [&](const EdgeType& et) {
             const bool walk_forward = backward == hop.reversed;
             const VertexTypeId cur_type =
@@ -214,8 +220,8 @@ void run_match_rank(const ConstraintNetwork& net, const GraphView& graph,
                 if (owner == rank) {
                   support.sets.at(out_type).set(neighbors[i]);
                 } else {
-                  put_u32(outbox[owner], out_type);
-                  put_u32(outbox[owner], neighbors[i]);
+                  outbox[owner].u32(out_type);
+                  outbox[owner].u32(neighbors[i]);
                   ++out.activations_sent;
                 }
               }
@@ -315,8 +321,7 @@ void run_match_rank(const ConstraintNetwork& net, const GraphView& graph,
       // Support for MY owned targets, accumulated from local expansion
       // plus received activations.
       Domain support = empty_like(graph, net.vars[to_var].types);
-      std::vector<std::vector<std::uint8_t>> outbox(
-          static_cast<std::size_t>(n));
+      std::vector<ByteWriter> outbox(static_cast<std::size_t>(n));
 
       for (const EdgeMove& move : con.moves) {
         const EdgeType& et = graph.edge_type(move.type);
@@ -335,8 +340,7 @@ void run_match_rank(const ConstraintNetwork& net, const GraphView& graph,
         // Walks frontier words [wb, we): owned targets set bits, remote
         // targets append (type, vertex) activations to the outbox.
         auto walk = [&](std::size_t wb, std::size_t we,
-                        DynamicBitset& bits,
-                        std::vector<std::vector<std::uint8_t>>& box,
+                        DynamicBitset& bits, std::vector<ByteWriter>& box,
                         std::uint64_t& sent,
                         std::vector<RowCursor>& shard_scratch) {
           frontier.for_each_in_range(wb, we, [&](std::size_t v) {
@@ -353,8 +357,8 @@ void run_match_rank(const ConstraintNetwork& net, const GraphView& graph,
               if (owner == rank) {
                 bits.set(neighbors[i]);
               } else {
-                put_u32(box[owner], to_type);
-                put_u32(box[owner], neighbors[i]);
+                box[owner].u32(to_type);
+                box[owner].u32(neighbors[i]);
                 ++sent;
               }
             }
@@ -373,7 +377,7 @@ void run_match_rank(const ConstraintNetwork& net, const GraphView& graph,
         // bytes for any pool size.
         struct Shard {
           DynamicBitset bits;
-          std::vector<std::vector<std::uint8_t>> box;
+          std::vector<ByteWriter> box;
           std::uint64_t sent = 0;
         };
         std::vector<Shard> shards(rank_shards);
@@ -390,8 +394,7 @@ void run_match_rank(const ConstraintNetwork& net, const GraphView& graph,
         for (auto& s : shards) {
           support.sets.at(to_type) |= s.bits;
           for (int peer = 0; peer < n; ++peer) {
-            outbox[peer].insert(outbox[peer].end(), s.box[peer].begin(),
-                                s.box[peer].end());
+            outbox[peer].raw(s.box[peer].buffer().data(), s.box[peer].size());
           }
           out.activations_sent += s.sent;
         }
@@ -400,20 +403,9 @@ void run_match_rank(const ConstraintNetwork& net, const GraphView& graph,
       // Exchange: exactly one (possibly empty) message to every peer.
       for (int peer = 0; peer < n; ++peer) {
         if (peer == rank) continue;
-        comm.send(peer, kTagActivations, outbox[peer]);
+        comm.send(peer, kTagActivations, outbox[peer].buffer());
       }
-      for (int i = 0; i < n - 1; ++i) {
-        Message m = comm.recv();
-        GEMS_CHECK(m.tag == kTagActivations);
-        std::size_t pos = 0;
-        while (pos < m.payload.size()) {
-          const VertexTypeId type =
-              static_cast<VertexTypeId>(get_u32(m.payload, pos));
-          const VertexIndex v = get_u32(m.payload, pos);
-          auto it = support.sets.find(type);
-          if (it != support.sets.end()) it->second.set(v);
-        }
-      }
+      for (int i = 0; i < n - 1; ++i) merge_activations(comm.recv(), support);
 
       // Cull my owned portion of the target domain.
       if (out.domains[to_var].intersect(support)) local_changed = 1;
@@ -444,33 +436,42 @@ void run_match_rank(const ConstraintNetwork& net, const GraphView& graph,
   }
 
   // ---- Gather domains on rank 0 --------------------------------------
+  // (variable, vertex type, index count, indices) per owned set. Every
+  // rank's domains have rank 0's shape, so a set outside it is malformed
+  // and fail-stops rank 0.
   if (rank != 0) {
-    std::vector<std::uint8_t> payload;
+    ByteWriter payload;
     for (std::size_t v = 0; v < net.num_vars(); ++v) {
       for (const auto& [type, bits] : out.domains[v].sets) {
         const auto indices = bits.to_indices();
-        put_u32(payload, static_cast<std::uint32_t>(v));
-        put_u32(payload, type);
-        put_u32(payload, static_cast<std::uint32_t>(indices.size()));
-        for (const auto idx : indices) put_u32(payload, idx);
+        payload.u32(static_cast<std::uint32_t>(v));
+        payload.u32(type);
+        payload.u32(static_cast<std::uint32_t>(indices.size()));
+        payload.raw(indices.data(), indices.size() * sizeof(indices[0]));
       }
     }
-    comm.send(0, kTagGather, payload);
+    comm.send(0, kTagGather, payload.buffer());
     return;
   }
   for (int i = 0; i < n - 1; ++i) {
-    Message m = comm.recv();
+    const Message m = comm.recv();
     GEMS_CHECK(m.tag == kTagGather);
-    std::size_t pos = 0;
-    while (pos < m.payload.size()) {
-      const std::size_t v = get_u32(m.payload, pos);
-      const VertexTypeId type =
-          static_cast<VertexTypeId>(get_u32(m.payload, pos));
-      const std::uint32_t count = get_u32(m.payload, pos);
-      auto it = out.domains[v].sets.find(type);
-      for (std::uint32_t k = 0; k < count; ++k) {
-        const VertexIndex idx = get_u32(m.payload, pos);
-        if (it != out.domains[v].sets.end()) it->second.set(idx);
+    ByteReader r(m.payload, "gather payload");
+    while (!r.at_end()) {
+      const Result<std::uint32_t> v = r.u32("variable");
+      const Result<std::uint32_t> type = r.u32("vertex type");
+      GEMS_CHECK_MSG(v.is_ok() && type.is_ok() && *v < out.domains.size(),
+                     "malformed gather payload");
+      auto& sets = out.domains[*v].sets;
+      const auto it = sets.find(static_cast<VertexTypeId>(*type));
+      const Result<std::uint32_t> count =
+          r.count("indices", sizeof(std::uint32_t));
+      GEMS_CHECK_MSG(count.is_ok() && it != sets.end() && it->first == *type,
+                     "malformed gather payload");
+      for (std::uint32_t k = 0; k < *count; ++k) {
+        const std::uint32_t idx = r.u32("index").value();  // within count
+        GEMS_CHECK_MSG(idx < it->second.size(), "gathered index out of range");
+        it->second.set(idx);
       }
     }
   }
@@ -478,57 +479,65 @@ void run_match_rank(const ConstraintNetwork& net, const GraphView& graph,
 
 void encode_domains(const std::vector<Domain>& domains,
                     std::vector<std::uint8_t>& out) {
-  put_u32(out, static_cast<std::uint32_t>(domains.size()));
+  ByteWriter w;
+  w.u32(static_cast<std::uint32_t>(domains.size()));
   for (const Domain& d : domains) {
-    put_u32(out, static_cast<std::uint32_t>(d.sets.size()));
+    w.u32(static_cast<std::uint32_t>(d.sets.size()));
     for (const auto& [type, bits] : d.sets) {  // std::map: type order
-      put_u32(out, type);
-      put_u64(out, bits.size());
+      w.u32(type);
+      w.u64(bits.size());
       const auto indices = bits.to_indices();
-      put_u32(out, static_cast<std::uint32_t>(indices.size()));
-      for (const auto idx : indices) put_u32(out, idx);
+      w.u32(static_cast<std::uint32_t>(indices.size()));
+      w.raw(indices.data(), indices.size() * sizeof(indices[0]));
     }
   }
+  out.insert(out.end(), w.buffer().begin(), w.buffer().end());
 }
 
 Result<std::vector<Domain>> decode_domains(
-    std::span<const std::uint8_t> bytes) {
-  std::size_t pos = 0;
-  auto need = [&](std::size_t n) {
-    return pos + n <= bytes.size();
-  };
-  if (!need(4)) return parse_error("domains: truncated header");
-  const std::uint32_t num_vars = get_u32(bytes, pos);
-  std::vector<Domain> domains;
-  domains.reserve(num_vars);
-  for (std::uint32_t v = 0; v < num_vars; ++v) {
-    if (!need(4)) return parse_error("domains: truncated set count");
-    const std::uint32_t num_sets = get_u32(bytes, pos);
-    Domain d;
+    std::span<const std::uint8_t> bytes, std::size_t num_vars,
+    std::span<const std::size_t> type_sizes) {
+  ByteReader r(bytes, "domains");
+  const std::size_t vars_at = r.position();
+  GEMS_ASSIGN_OR_RETURN(std::uint32_t n, r.u32("variable count"));
+  if (n != num_vars) {
+    return r.error("variable count " + std::to_string(n) + " != expected " +
+                       std::to_string(num_vars),
+                   vars_at);
+  }
+  std::vector<Domain> domains(num_vars);
+  for (Domain& d : domains) {
+    // Each set is at least its type, size and index count: 16 bytes.
+    GEMS_ASSIGN_OR_RETURN(std::uint32_t num_sets, r.count("domain sets", 16));
     for (std::uint32_t s = 0; s < num_sets; ++s) {
-      if (!need(16)) return parse_error("domains: truncated set header");
-      const VertexTypeId type =
-          static_cast<VertexTypeId>(get_u32(bytes, pos));
-      const std::uint64_t size = get_u64(bytes, pos);
-      const std::uint32_t count = get_u32(bytes, pos);
-      // Reject before allocating: the bitset can't be larger than the
-      // remaining payload could justify, and every index must fit.
-      if (count > (bytes.size() - pos) / 4) {
-        return parse_error("domains: index count exceeds payload");
+      const std::size_t at = r.position();
+      GEMS_ASSIGN_OR_RETURN(std::uint32_t type, r.u32("vertex type"));
+      GEMS_ASSIGN_OR_RETURN(std::uint64_t size, r.u64("set size"));
+      // Shape check before the bitset is allocated from `size`.
+      if (type >= type_sizes.size() || size != type_sizes[type]) {
+        return r.error("set of type " + std::to_string(type) + " and size " +
+                           std::to_string(size) +
+                           " does not match the graph",
+                       at);
       }
+      GEMS_ASSIGN_OR_RETURN(std::uint32_t count,
+                            r.count("indices", sizeof(std::uint32_t)));
       DynamicBitset bits(static_cast<std::size_t>(size));
       for (std::uint32_t k = 0; k < count; ++k) {
-        const std::uint32_t idx = get_u32(bytes, pos);
-        if (idx >= size) return parse_error("domains: index out of range");
+        GEMS_ASSIGN_OR_RETURN(std::uint32_t idx, r.u32("index"));
+        if (idx >= size) {
+          return r.error("index " + std::to_string(idx) + " out of range",
+                         r.position() - sizeof(idx));
+        }
         bits.set(idx);
       }
-      if (!d.sets.emplace(type, std::move(bits)).second) {
-        return parse_error("domains: duplicate vertex type");
+      if (!d.sets.emplace(static_cast<VertexTypeId>(type), std::move(bits))
+               .second) {
+        return r.error("duplicate vertex type " + std::to_string(type), at);
       }
     }
-    domains.push_back(std::move(d));
   }
-  if (pos != bytes.size()) return parse_error("domains: trailing bytes");
+  if (!r.at_end()) return r.error("trailing bytes", r.position());
   return domains;
 }
 

@@ -60,13 +60,16 @@ void run_match_rank(const exec::ConstraintNetwork& net,
                     std::size_t rank_shards = 1);
 
 /// Codec for the rank-0 → coordinator domain hand-back (control plane, not
-/// part of the recorded BSP stream). Self-describing: every per-variable,
-/// per-type bitset travels with its size, so the receiver rebuilds the
-/// exact Domain shapes without consulting its own graph.
+/// part of the recorded BSP stream). Every per-variable, per-type bitset
+/// travels with its size. The bytes come from another process, so decode
+/// checks them against the expected shape — `num_vars` variables, and
+/// sets whose size is `type_sizes[type]` (the vertex count of each type)
+/// — before allocating; any mismatch is a kParseError.
 void encode_domains(const std::vector<exec::Domain>& domains,
                     std::vector<std::uint8_t>& out);
 Result<std::vector<exec::Domain>> decode_domains(
-    std::span<const std::uint8_t> bytes);
+    std::span<const std::uint8_t> bytes, std::size_t num_vars,
+    std::span<const std::size_t> type_sizes);
 
 /// Runs the distributed fixpoint on `num_ranks` simulated compute nodes
 /// and returns the same domains/matched-edges a single-node

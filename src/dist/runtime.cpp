@@ -14,29 +14,37 @@ Message RankCtx::recv() { return cluster_->take(rank_); }
 
 void RankCtx::barrier() { cluster_->barrier_wait(); }
 
+namespace {
+
+/// The u64 of an allreduce message; a malformed one fail-stops the rank.
+std::uint64_t allreduce_value(const Message& m, int tag) {
+  GEMS_CHECK(m.tag == tag);
+  ByteReader r(m.payload, "allreduce payload");
+  const Result<std::uint64_t> value = r.u64();
+  GEMS_CHECK_MSG(value.is_ok() && r.at_end(), "malformed allreduce payload");
+  return *value;
+}
+
+std::vector<std::uint8_t> allreduce_payload(std::uint64_t value) {
+  ByteWriter w;
+  w.u64(value);
+  return w.take();
+}
+
+}  // namespace
+
 std::uint64_t Comm::allreduce_sum(std::uint64_t value) {
   constexpr int kTagReduce = -101;
   constexpr int kTagResult = -102;
   if (rank() == 0) {
     std::uint64_t sum = value;
-    for (int i = 1; i < size(); ++i) {
-      Message m = recv();
-      GEMS_CHECK(m.tag == kTagReduce);
-      std::size_t pos = 0;
-      sum += get_u64(m.payload, pos);
-    }
-    std::vector<std::uint8_t> out;
-    put_u64(out, sum);
+    for (int i = 1; i < size(); ++i) sum += allreduce_value(recv(), kTagReduce);
+    const std::vector<std::uint8_t> out = allreduce_payload(sum);
     for (int i = 1; i < size(); ++i) send(i, kTagResult, out);
     return sum;
   }
-  std::vector<std::uint8_t> out;
-  put_u64(out, value);
-  send(0, kTagReduce, out);
-  Message m = recv();
-  GEMS_CHECK(m.tag == kTagResult);
-  std::size_t pos = 0;
-  return get_u64(m.payload, pos);
+  send(0, kTagReduce, allreduce_payload(value));
+  return allreduce_value(recv(), kTagResult);
 }
 
 SimCluster::SimCluster(std::size_t num_ranks) : num_ranks_(num_ranks) {

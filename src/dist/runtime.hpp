@@ -26,6 +26,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/bytes.hpp"
 #include "common/check.hpp"
 #include "common/sync.hpp"
 
@@ -42,38 +43,6 @@ struct RankCommStats {
   std::uint64_t messages = 0;
   std::uint64_t bytes = 0;
 };
-
-// ---- Payload serialization helpers ---------------------------------------
-
-inline void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  out.push_back(static_cast<std::uint8_t>(v));
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
-  out.push_back(static_cast<std::uint8_t>(v >> 16));
-  out.push_back(static_cast<std::uint8_t>(v >> 24));
-}
-
-inline std::uint32_t get_u32(std::span<const std::uint8_t> in,
-                             std::size_t& pos) {
-  GEMS_DCHECK(pos + 4 <= in.size());
-  const std::uint32_t v = static_cast<std::uint32_t>(in[pos]) |
-                          static_cast<std::uint32_t>(in[pos + 1]) << 8 |
-                          static_cast<std::uint32_t>(in[pos + 2]) << 16 |
-                          static_cast<std::uint32_t>(in[pos + 3]) << 24;
-  pos += 4;
-  return v;
-}
-
-inline void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  put_u32(out, static_cast<std::uint32_t>(v));
-  put_u32(out, static_cast<std::uint32_t>(v >> 32));
-}
-
-inline std::uint64_t get_u64(std::span<const std::uint8_t> in,
-                             std::size_t& pos) {
-  const std::uint64_t lo = get_u32(in, pos);
-  const std::uint64_t hi = get_u32(in, pos);
-  return lo | (hi << 32);
-}
 
 // ---- Transport surface ----------------------------------------------------
 
@@ -116,24 +85,25 @@ class RecordingComm : public Comm {
   int size() const noexcept override { return inner_.size(); }
 
   void send(int to, int tag, std::span<const std::uint8_t> payload) override {
-    put_u32(transcript_, static_cast<std::uint32_t>(to));
-    put_u32(transcript_, static_cast<std::uint32_t>(tag));
-    put_u32(transcript_, static_cast<std::uint32_t>(payload.size()));
-    transcript_.insert(transcript_.end(), payload.begin(), payload.end());
+    transcript_.u32(static_cast<std::uint32_t>(to));
+    transcript_.u32(static_cast<std::uint32_t>(tag));
+    transcript_.blob(payload);
     inner_.send(to, tag, payload);
   }
 
   Message recv() override { return inner_.recv(); }
   void barrier() override { inner_.barrier(); }
 
-  std::vector<std::uint8_t>& transcript() noexcept { return transcript_; }
+  std::vector<std::uint8_t>& transcript() noexcept {
+    return transcript_.buffer();
+  }
   const std::vector<std::uint8_t>& transcript() const noexcept {
-    return transcript_;
+    return transcript_.buffer();
   }
 
  private:
   Comm& inner_;
-  std::vector<std::uint8_t> transcript_;
+  ByteWriter transcript_;
 };
 
 class SimCluster;

@@ -162,9 +162,7 @@ std::string render_diagnostics(const std::vector<Diagnostic>& diagnostics,
 //   u32 magic 'GQLD', u32 count, then per diagnostic:
 //   u8 severity, u16 code, u8 status_code, 4 x u32 span,
 //   u32 message-length + bytes, u32 fixit-length + bytes.
-// All integers little-endian. decode validates lengths against the
-// remaining buffer before allocating (same hostile-input posture as the
-// binary IR codec).
+// Encoded and bounds-checked by the shared codec (common/bytes.hpp).
 
 std::vector<std::uint8_t> encode_diagnostics(
     const std::vector<Diagnostic>& diagnostics);

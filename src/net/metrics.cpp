@@ -4,7 +4,6 @@
 #include <bit>
 #include <charconv>
 #include <cstdio>
-#include <cstring>
 #include <limits>
 #include <optional>
 #include <type_traits>
@@ -72,13 +71,8 @@ constexpr std::size_t kMaxRanks = 4096;
 using Slot = std::variant<std::uint64_t*, std::uint32_t*, bool*, double*,
                           LatencyHistogram*>;
 
-Status malformed(const std::string& what, std::size_t at) {
-  return parse_error("malformed stats: " + what + " at byte offset " +
-                     std::to_string(at));
-}
-
 template <class T>
-void encode_value(WireWriter& w, const T& field) {
+void encode_value(ByteWriter& w, const T& field) {
   w.u8(static_cast<std::uint8_t>(kind_of<T>()));
   if constexpr (std::is_same_v<T, LatencyHistogram>) {
     w.u64(field.count);
@@ -96,14 +90,14 @@ void encode_value(WireWriter& w, const T& field) {
 /// Reads the value of a sample of `kind` into `field`, whose type must
 /// carry that kind.
 template <class T>
-Status decode_value(WireReader& r, MetricKind kind, T& field,
+Status decode_value(ByteReader& r, MetricKind kind, T& field,
                     const std::string& name, std::size_t at) {
-  if (kind != kind_of<T>()) return malformed("metric " + name + " kind", at);
+  if (kind != kind_of<T>()) return r.error("metric " + name + " kind", at);
   if constexpr (std::is_same_v<T, LatencyHistogram>) {
     GEMS_ASSIGN_OR_RETURN(field.count, r.u64());
     GEMS_ASSIGN_OR_RETURN(field.sum_us, r.u64());
     GEMS_ASSIGN_OR_RETURN(field.max_us, r.u64());
-    GEMS_ASSIGN_OR_RETURN(std::uint32_t n, r.count("histogram buckets"));
+    GEMS_ASSIGN_OR_RETURN(std::uint32_t n, r.count("histogram buckets", 8));
     for (std::uint32_t i = 0; i < n; ++i) {
       GEMS_ASSIGN_OR_RETURN(std::uint64_t b, r.u64());
       // Tolerate a peer with more/fewer buckets: clamp into ours.
@@ -118,7 +112,7 @@ Status decode_value(WireReader& r, MetricKind kind, T& field,
       field = bits != 0;
     } else {
       if (bits > std::numeric_limits<T>::max()) {
-        return malformed("metric " + name + " out of range", at);
+        return r.error("metric " + name + " out of range", at);
       }
       field = static_cast<T>(bits);
     }
@@ -130,7 +124,9 @@ Status decode_value(WireReader& r, MetricKind kind, T& field,
 /// the encoder sends first) and kMaxRanks, grows the rank vector to hold
 /// it, and returns the field — no slot for an unknown field name.
 Result<std::optional<Slot>> rank_slot(server::ClusterMetricsSnapshot& cluster,
-                                      std::string_view name, std::size_t at) {
+                                      std::string_view name,
+                                      const ByteReader& reader,
+                                      std::size_t at) {
   name.remove_prefix(server::kClusterRankPrefix.size());
   const char* const last = name.data() + name.size();
   std::size_t r = 0;
@@ -140,12 +136,12 @@ Result<std::optional<Slot>> rank_slot(server::ClusterMetricsSnapshot& cluster,
   }
   if (ec != std::errc{} ||
       r >= std::min<std::size_t>(cluster.num_ranks, kMaxRanks)) {
-    return malformed("cluster rank index " +
-                         std::string(name.data(), dot) +
-                         " out of range (cluster.num_ranks " +
-                         std::to_string(cluster.num_ranks) + ", cap " +
-                         std::to_string(kMaxRanks) + ")",
-                     at);
+    return reader.error("cluster rank index " +
+                            std::string(name.data(), dot) +
+                            " out of range (cluster.num_ranks " +
+                            std::to_string(cluster.num_ranks) + ", cap " +
+                            std::to_string(kMaxRanks) + ")",
+                        at);
   }
   if (r >= cluster.ranks.size()) cluster.ranks.resize(r + 1);
   const std::string_view field_name(dot + 1, last);
@@ -160,17 +156,15 @@ Result<std::optional<Slot>> rank_slot(server::ClusterMetricsSnapshot& cluster,
 
 void encode_metrics(const MetricsSnapshot& snap,
                     std::vector<std::uint8_t>& out) {
-  WireWriter w;
-  w.u32(0);  // sample count, patched below
   std::uint32_t n = 0;
+  for_each_metric(snap, [&](std::string_view, const auto&) { ++n; });
+  ByteWriter w;
+  w.u32(n);
   for_each_metric(snap, [&](std::string_view name, const auto& field) {
     w.str(name);
     encode_value(w, field);
-    ++n;
   });
-  std::vector<std::uint8_t> bytes = w.take();
-  std::memcpy(bytes.data(), &n, sizeof(n));
-  out.insert(out.end(), bytes.begin(), bytes.end());
+  out.insert(out.end(), w.buffer().begin(), w.buffer().end());
 }
 
 Result<MetricsSnapshot> decode_metrics(std::span<const std::uint8_t> bytes) {
@@ -181,21 +175,21 @@ Result<MetricsSnapshot> decode_metrics(std::span<const std::uint8_t> bytes) {
   for_each_metric(snap, [&](std::string_view name, auto& field) {
     slots.emplace(name, &field);
   });
-  WireReader r(bytes);
+  ByteReader r(bytes, "stats");
   GEMS_ASSIGN_OR_RETURN(std::uint32_t n, r.count("metric samples"));
   for (std::uint32_t i = 0; i < n; ++i) {
     const std::size_t at = r.position();
-    GEMS_ASSIGN_OR_RETURN(std::string name, r.str());
-    GEMS_ASSIGN_OR_RETURN(std::uint8_t kind_byte, r.u8());
+    GEMS_ASSIGN_OR_RETURN(std::string name, r.str("metric name"));
+    GEMS_ASSIGN_OR_RETURN(std::uint8_t kind_byte, r.u8("metric kind"));
     const auto kind = static_cast<MetricKind>(kind_byte);
     if (kind_byte > static_cast<std::uint8_t>(MetricKind::kHistogram)) {
-      return malformed("unknown metric kind " + std::to_string(kind_byte), at);
+      return r.error("unknown metric kind " + std::to_string(kind_byte), at);
     }
     std::optional<Slot> slot;
     if (const auto it = slots.find(name); it != slots.end()) {
       slot = it->second;
     } else if (name.starts_with(server::kClusterRankPrefix)) {
-      GEMS_ASSIGN_OR_RETURN(slot, rank_slot(snap.cluster, name, at));
+      GEMS_ASSIGN_OR_RETURN(slot, rank_slot(snap.cluster, name, r, at));
     }
     // An unknown name still has to be read past: into a scratch field of
     // the sample's own kind.
@@ -212,8 +206,8 @@ Result<MetricsSnapshot> decode_metrics(std::span<const std::uint8_t> bytes) {
         *slot));
   }
   if (!r.at_end()) {
-    return malformed(std::to_string(r.remaining()) + " trailing bytes",
-                     r.position());
+    return r.error(std::to_string(r.remaining()) + " trailing bytes",
+                   r.position());
   }
   return snap;
 }

@@ -134,7 +134,7 @@ std::size_t Server::respond(SessionConn& session, Verb verb,
                             std::uint64_t request_id, const Status& status,
                             std::span<const std::uint8_t> body,
                             const MetricsRegistry::Outcome* outcome) {
-  WireWriter w;
+  ByteWriter w;
   encode_status(status, w);
   if (status.is_ok()) {
     w.buffer().insert(w.buffer().end(), body.begin(), body.end());
@@ -363,7 +363,7 @@ void Server::process_request(Request& request) {
       }
     }
     if (status.is_ok()) {
-      WireWriter w;
+      ByteWriter w;
       switch (request.verb) {
         case Verb::kRunScript: {
           auto results = db_.run_ir(script.ir, params);

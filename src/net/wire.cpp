@@ -1,6 +1,5 @@
 #include "net/wire.hpp"
 
-#include <cstring>
 #include <limits>
 #include <utility>
 
@@ -36,109 +35,12 @@ std::string_view verb_name(Verb verb) noexcept {
   return "unknown";
 }
 
-// ---- WireWriter ------------------------------------------------------------
-
-void WireWriter::str(std::string_view s) {
-  u32(static_cast<std::uint32_t>(s.size()));
-  raw(s.data(), s.size());
-}
-
-void WireWriter::blob(std::span<const std::uint8_t> bytes) {
-  u32(static_cast<std::uint32_t>(bytes.size()));
-  raw(bytes.data(), bytes.size());
-}
-
-void WireWriter::raw(const void* p, std::size_t n) {
-  const auto* bytes = static_cast<const std::uint8_t*>(p);
-  buf_.insert(buf_.end(), bytes, bytes + n);
-}
-
-// ---- WireReader ------------------------------------------------------------
-
-Status WireReader::short_input(std::size_t need) const {
-  return parse_error("malformed frame: need " + std::to_string(need) +
-                     " bytes but only " + std::to_string(remaining()) +
-                     " remain at byte offset " + std::to_string(pos_));
-}
-
-template <typename T>
-Result<T> WireReader::fixed() {
-  if (sizeof(T) > remaining()) return short_input(sizeof(T));
-  T v;
-  std::memcpy(&v, bytes_.data() + pos_, sizeof(T));
-  pos_ += sizeof(T);
-  return v;
-}
-
-Result<std::uint8_t> WireReader::u8() { return fixed<std::uint8_t>(); }
-Result<std::uint16_t> WireReader::u16() { return fixed<std::uint16_t>(); }
-Result<std::uint32_t> WireReader::u32() { return fixed<std::uint32_t>(); }
-Result<std::uint64_t> WireReader::u64() { return fixed<std::uint64_t>(); }
-
-Result<bool> WireReader::boolean() {
-  GEMS_ASSIGN_OR_RETURN(std::uint8_t v, u8());
-  return v != 0;
-}
-
-Result<std::string> WireReader::str() {
-  const std::size_t at = pos_;
-  GEMS_ASSIGN_OR_RETURN(std::uint32_t n, u32());
-  if (n > remaining()) {
-    // Reject the length prefix before allocating anything.
-    return parse_error("malformed frame: string length " + std::to_string(n) +
-                       " exceeds remaining " + std::to_string(remaining()) +
-                       " bytes at byte offset " + std::to_string(at));
-  }
-  std::string out(reinterpret_cast<const char*>(bytes_.data() + pos_), n);
-  pos_ += n;
-  return out;
-}
-
-Result<std::vector<std::uint8_t>> WireReader::blob() {
-  const std::size_t at = pos_;
-  GEMS_ASSIGN_OR_RETURN(std::uint32_t n, u32());
-  if (n > remaining()) {
-    return parse_error("malformed frame: blob length " + std::to_string(n) +
-                       " exceeds remaining " + std::to_string(remaining()) +
-                       " bytes at byte offset " + std::to_string(at));
-  }
-  std::vector<std::uint8_t> out(bytes_.begin() + pos_,
-                                bytes_.begin() + pos_ + n);
-  pos_ += n;
-  return out;
-}
-
-Result<std::span<const std::uint8_t>> WireReader::bytes(std::uint64_t n,
-                                                        const char* what) {
-  if (n > remaining()) {
-    return parse_error("malformed frame: " + std::string(what) + " needs " +
-                       std::to_string(n) + " bytes but only " +
-                       std::to_string(remaining()) +
-                       " remain at byte offset " + std::to_string(pos_));
-  }
-  const auto out = bytes_.subspan(pos_, static_cast<std::size_t>(n));
-  pos_ += static_cast<std::size_t>(n);
-  return out;
-}
-
-Result<std::uint32_t> WireReader::count(const char* what) {
-  const std::size_t at = pos_;
-  GEMS_ASSIGN_OR_RETURN(std::uint32_t n, u32());
-  if (n > remaining()) {
-    return parse_error("malformed frame: " + std::string(what) + " count " +
-                       std::to_string(n) + " exceeds remaining " +
-                       std::to_string(remaining()) + " bytes at byte offset " +
-                       std::to_string(at));
-  }
-  return n;
-}
-
 // ---- Frame I/O -------------------------------------------------------------
 
 Status send_frame(const Socket& socket, Verb verb, bool is_response,
                   std::uint64_t request_id,
                   std::span<const std::uint8_t> payload) {
-  WireWriter w;
+  ByteWriter w;
   w.buffer().reserve(kFrameHeaderBytes + payload.size());
   w.u32(kFrameMagic);
   w.u16(kWireVersion);
@@ -153,7 +55,7 @@ Status send_frame(const Socket& socket, Verb verb, bool is_response,
 Result<Frame> recv_frame(const Socket& socket, std::size_t max_frame_bytes) {
   std::uint8_t header[kFrameHeaderBytes];
   GEMS_RETURN_IF_ERROR(recv_all(socket, header));
-  WireReader r(header);
+  ByteReader r(header, "frame");
   GEMS_ASSIGN_OR_RETURN(std::uint32_t magic, r.u32());
   if (magic != kFrameMagic) {
     return parse_error("bad frame magic at byte offset 0 (not a GEMS wire "
@@ -194,7 +96,7 @@ Result<Frame> recv_frame(const Socket& socket, std::size_t max_frame_bytes) {
 // ---- Request payloads ------------------------------------------------------
 
 std::vector<std::uint8_t> encode_handshake_request(const HandshakeRequest& r) {
-  WireWriter w;
+  ByteWriter w;
   w.u16(r.wire_version);
   w.str(r.client_name);
   return w.take();
@@ -202,7 +104,7 @@ std::vector<std::uint8_t> encode_handshake_request(const HandshakeRequest& r) {
 
 Result<HandshakeRequest> decode_handshake_request(
     std::span<const std::uint8_t> bytes) {
-  WireReader r(bytes);
+  ByteReader r(bytes, "frame");
   HandshakeRequest out;
   GEMS_ASSIGN_OR_RETURN(out.wire_version, r.u16());
   GEMS_ASSIGN_OR_RETURN(out.client_name, r.str());
@@ -211,14 +113,14 @@ Result<HandshakeRequest> decode_handshake_request(
 
 std::vector<std::uint8_t> encode_handshake_response(
     const HandshakeResponse& r) {
-  WireWriter w;
+  ByteWriter w;
   w.u16(r.wire_version);
   w.u64(r.session_id);
   w.str(r.server_name);
   return w.take();
 }
 
-Result<HandshakeResponse> decode_handshake_response(WireReader& reader) {
+Result<HandshakeResponse> decode_handshake_response(ByteReader& reader) {
   HandshakeResponse out;
   GEMS_ASSIGN_OR_RETURN(out.wire_version, reader.u16());
   GEMS_ASSIGN_OR_RETURN(out.session_id, reader.u64());
@@ -227,7 +129,7 @@ Result<HandshakeResponse> decode_handshake_response(WireReader& reader) {
 }
 
 std::vector<std::uint8_t> encode_script_request(const ScriptRequest& r) {
-  WireWriter w;
+  ByteWriter w;
   w.blob(r.ir);
   w.blob(r.params);
   w.u32(r.deadline_ms);
@@ -236,7 +138,7 @@ std::vector<std::uint8_t> encode_script_request(const ScriptRequest& r) {
 
 Result<ScriptRequest> decode_script_request(
     std::span<const std::uint8_t> bytes) {
-  WireReader r(bytes);
+  ByteReader r(bytes, "frame");
   ScriptRequest out;
   GEMS_ASSIGN_OR_RETURN(out.ir, r.blob());
   GEMS_ASSIGN_OR_RETURN(out.params, r.blob());
@@ -245,14 +147,14 @@ Result<ScriptRequest> decode_script_request(
 }
 
 std::vector<std::uint8_t> encode_cancel_request(const CancelRequest& r) {
-  WireWriter w;
+  ByteWriter w;
   w.u64(r.target_request_id);
   return w.take();
 }
 
 Result<CancelRequest> decode_cancel_request(
     std::span<const std::uint8_t> bytes) {
-  WireReader r(bytes);
+  ByteReader r(bytes, "frame");
   CancelRequest out;
   GEMS_ASSIGN_OR_RETURN(out.target_request_id, r.u64());
   return out;
@@ -260,19 +162,19 @@ Result<CancelRequest> decode_cancel_request(
 
 // ---- Response payloads -----------------------------------------------------
 
-void encode_status(const Status& status, WireWriter& w) {
+void encode_status(const Status& status, ByteWriter& w) {
   w.u16(static_cast<std::uint16_t>(status.code()));
   w.str(status.message());
 }
 
-Status decode_status(WireReader& reader) {
-  auto code = reader.u16();
+Status decode_status(ByteReader& reader) {
+  const std::size_t at = reader.position();
+  auto code = reader.u16("status code");
   if (!code.is_ok()) return code.status();
-  auto message = reader.str();
+  auto message = reader.str("status message");
   if (!message.is_ok()) return message.status();
   if (*code > static_cast<std::uint16_t>(StatusCode::kUnavailable)) {
-    return parse_error("malformed frame: unknown status code " +
-                       std::to_string(*code));
+    return reader.error("unknown status code " + std::to_string(*code), at);
   }
   return Status(static_cast<StatusCode>(*code), std::move(*message));
 }
@@ -321,7 +223,7 @@ class Dictionary {
   std::vector<StringId> strings_;
 };
 
-void encode_column(const storage::Column& col, WireWriter& w,
+void encode_column(const storage::Column& col, ByteWriter& w,
                    const StringPool& pool) {
   const std::span<const std::uint64_t> valid = col.validity().words();
   w.raw(valid.data(), valid.size_bytes());
@@ -344,21 +246,17 @@ void encode_column(const storage::Column& col, WireWriter& w,
       w.raw(col.double_span().data(), col.double_span().size_bytes());
       return;
     case TypeKind::kVarchar: {
-      // Codes go straight into the buffer; each distinct string then
-      // crosses the wire once per column.
+      // One code per row; each distinct string then crosses the wire
+      // once per column.
       const auto ids = col.string_span();
-      std::vector<std::uint8_t>& buf = w.buffer();
-      const std::size_t codes_at = buf.size();
-      buf.resize(codes_at + n * sizeof(std::uint32_t));
+      std::vector<std::uint32_t> codes(n);
       Dictionary dictionary;
       for (std::size_t i = 0; i < n; ++i) {
-        const std::uint32_t code =
-            col.is_null(static_cast<storage::RowIndex>(i))
-                ? 0
-                : dictionary.code(ids[i]);
-        std::memcpy(buf.data() + codes_at + i * sizeof(code), &code,
-                    sizeof(code));
+        if (!col.is_null(static_cast<storage::RowIndex>(i))) {
+          codes[i] = dictionary.code(ids[i]);
+        }
       }
+      w.raw(codes.data(), n * sizeof(std::uint32_t));
       w.u32(static_cast<std::uint32_t>(dictionary.strings().size()));
       for (const StringId id : dictionary.strings()) w.str(pool.view(id));
       return;
@@ -366,7 +264,7 @@ void encode_column(const storage::Column& col, WireWriter& w,
   }
 }
 
-void encode_table(const storage::Table& table, WireWriter& w) {
+void encode_table(const storage::Table& table, ByteWriter& w) {
   w.str(table.name());
   w.u32(static_cast<std::uint32_t>(table.schema().num_columns()));
   for (const auto& col : table.schema().columns()) {
@@ -381,17 +279,6 @@ void encode_table(const storage::Table& table, WireWriter& w) {
   }
 }
 
-/// Reads `n` fixed-width lanes of T, checked against the remaining bytes.
-template <typename T>
-Result<std::vector<T>> read_lanes(WireReader& reader, std::uint64_t n,
-                                  const char* what) {
-  GEMS_ASSIGN_OR_RETURN(std::span<const std::uint8_t> raw,
-                        reader.bytes(n * sizeof(T), what));
-  std::vector<T> out(static_cast<std::size_t>(n));
-  if (!raw.empty()) std::memcpy(out.data(), raw.data(), raw.size());
-  return out;
-}
-
 /// Zeroes the payload of NULL lanes, the form every column writer stores.
 template <typename T>
 void clear_null_lanes(std::vector<T>& data, const DynamicBitset& valid,
@@ -401,22 +288,23 @@ void clear_null_lanes(std::vector<T>& data, const DynamicBitset& valid,
   }
 }
 
-Status decode_column(WireReader& reader, std::uint64_t n,
+Status decode_column(ByteReader& reader, std::uint64_t n,
                      storage::Column& col, StringPool& pool) {
-  GEMS_ASSIGN_OR_RETURN(std::vector<std::uint64_t> words,
-                        read_lanes<std::uint64_t>(reader, bit_words(n),
-                                                  "validity block"));
+  const std::size_t valid_at = reader.position();
+  GEMS_ASSIGN_OR_RETURN(
+      std::vector<std::uint64_t> words,
+      reader.array<std::uint64_t>(bit_words(n), "validity block"));
   auto valid = DynamicBitset::from_words(static_cast<std::size_t>(n),
                                          std::move(words));
   if (!valid.is_ok()) {
-    return parse_error("malformed frame: validity block: " +
-                       valid.status().message());
+    return reader.error("validity block: " + valid.status().message(),
+                        valid_at);
   }
   switch (col.type().kind) {
     case TypeKind::kBool: {
-      GEMS_ASSIGN_OR_RETURN(std::vector<std::uint64_t> bits,
-                            read_lanes<std::uint64_t>(reader, bit_words(n),
-                                                      "bool payload"));
+      GEMS_ASSIGN_OR_RETURN(
+          std::vector<std::uint64_t> bits,
+          reader.array<std::uint64_t>(bit_words(n), "bool payload"));
       std::vector<std::int64_t> data(static_cast<std::size_t>(n));
       for (std::size_t i = 0; i < data.size(); ++i) {
         data[i] = static_cast<std::int64_t>((bits[i >> 6] >> (i & 63)) & 1u);
@@ -427,23 +315,22 @@ Status decode_column(WireReader& reader, std::uint64_t n,
     case TypeKind::kInt64:
     case TypeKind::kDate: {
       GEMS_ASSIGN_OR_RETURN(std::vector<std::int64_t> data,
-                            read_lanes<std::int64_t>(reader, n, "payload"));
+                            reader.array<std::int64_t>(n, "payload"));
       clear_null_lanes<std::int64_t>(data, *valid, 0);
       return col.load_ints(std::move(data), std::move(valid).value());
     }
     case TypeKind::kDouble: {
       GEMS_ASSIGN_OR_RETURN(std::vector<double> data,
-                            read_lanes<double>(reader, n, "payload"));
+                            reader.array<double>(n, "payload"));
       clear_null_lanes<double>(data, *valid, 0.0);
       return col.load_doubles(std::move(data), std::move(valid).value());
     }
     case TypeKind::kVarchar: {
       const std::size_t codes_at = reader.position();
-      GEMS_ASSIGN_OR_RETURN(
-          std::span<const std::uint8_t> codes,
-          reader.bytes(n * sizeof(std::uint32_t), "string codes"));
+      GEMS_ASSIGN_OR_RETURN(std::vector<std::uint32_t> codes,
+                            reader.array<std::uint32_t>(n, "string codes"));
       GEMS_ASSIGN_OR_RETURN(std::uint32_t dict_size,
-                            reader.count("string dictionary"));
+                            reader.count("string dictionary", 4));
       std::vector<StringId> dictionary;
       dictionary.reserve(dict_size);
       for (std::uint32_t d = 0; d < dict_size; ++d) {
@@ -452,10 +339,9 @@ Status decode_column(WireReader& reader, std::uint64_t n,
         GEMS_ASSIGN_OR_RETURN(std::span<const std::uint8_t> text,
                               reader.bytes(len, "dictionary string"));
         if (len > col.type().varchar_length) {
-          return parse_error("malformed frame: dictionary string of " +
-                             std::to_string(len) + " bytes exceeds " +
-                             col.type().to_string() + " at byte offset " +
-                             std::to_string(at));
+          return reader.error("dictionary string of " + std::to_string(len) +
+                                  " bytes exceeds " + col.type().to_string(),
+                              at);
         }
         dictionary.push_back(pool.intern(std::string_view(
             reinterpret_cast<const char*>(text.data()), text.size())));
@@ -464,24 +350,23 @@ Status decode_column(WireReader& reader, std::uint64_t n,
                                  kInvalidStringId);
       for (std::size_t i = 0; i < data.size(); ++i) {
         if (!valid->test(i)) continue;
-        std::uint32_t code = 0;
-        std::memcpy(&code, codes.data() + i * sizeof(code), sizeof(code));
-        if (code >= dictionary.size()) {
-          return parse_error("malformed frame: string code " +
-                             std::to_string(code) + " >= dictionary size " +
-                             std::to_string(dictionary.size()) + " in row " +
-                             std::to_string(i) + " of the codes at byte "
-                             "offset " + std::to_string(codes_at));
+        if (codes[i] >= dictionary.size()) {
+          return reader.error("string code " + std::to_string(codes[i]) +
+                                  " >= dictionary size " +
+                                  std::to_string(dictionary.size()) +
+                                  " in row " + std::to_string(i) +
+                                  " of the codes",
+                              codes_at);
         }
-        data[i] = dictionary[code];
+        data[i] = dictionary[codes[i]];
       }
       return col.load_strings(std::move(data), std::move(valid).value());
     }
   }
-  return parse_error("malformed frame: bad column kind");
+  return reader.error("bad column kind", reader.position());
 }
 
-Result<storage::TablePtr> decode_table(WireReader& reader, StringPool& pool) {
+Result<storage::TablePtr> decode_table(ByteReader& reader, StringPool& pool) {
   GEMS_ASSIGN_OR_RETURN(std::string table_name, reader.str());
   GEMS_ASSIGN_OR_RETURN(std::uint32_t ncols, reader.count("column list"));
   std::vector<storage::ColumnDef> columns;
@@ -489,10 +374,10 @@ Result<storage::TablePtr> decode_table(WireReader& reader, StringPool& pool) {
   for (std::uint32_t c = 0; c < ncols; ++c) {
     storage::ColumnDef def;
     GEMS_ASSIGN_OR_RETURN(def.name, reader.str());
-    GEMS_ASSIGN_OR_RETURN(std::uint8_t type_kind, reader.u8());
+    GEMS_ASSIGN_OR_RETURN(std::uint8_t type_kind, reader.u8("type kind"));
     if (type_kind > static_cast<std::uint8_t>(TypeKind::kDate)) {
-      return parse_error("malformed frame: bad column type kind " +
-                         std::to_string(type_kind));
+      return reader.error("bad column type kind " + std::to_string(type_kind),
+                          reader.position() - 1);
     }
     def.type.kind = static_cast<TypeKind>(type_kind);
     GEMS_ASSIGN_OR_RETURN(def.type.varchar_length, reader.u32());
@@ -505,9 +390,9 @@ Result<storage::TablePtr> decode_table(WireReader& reader, StringPool& pool) {
   // Rows are addressed by 32-bit RowIndex; the per-column blocks below
   // are each checked against the remaining bytes before allocating.
   if (nrows > std::numeric_limits<storage::RowIndex>::max()) {
-    return parse_error("malformed frame: row count " + std::to_string(nrows) +
-                       " exceeds the row index range at byte offset " +
-                       std::to_string(at));
+    return reader.error("row count " + std::to_string(nrows) +
+                            " exceeds the row index range",
+                        at);
   }
   auto table = std::make_shared<storage::Table>(std::move(table_name),
                                                 std::move(schema), pool);
@@ -527,7 +412,7 @@ Result<storage::TablePtr> decode_table(WireReader& reader, StringPool& pool) {
 }  // namespace
 
 void encode_results(const std::vector<exec::StatementResult>& results,
-                    WireWriter& w) {
+                    ByteWriter& w) {
   w.u32(static_cast<std::uint32_t>(results.size()));
   for (const auto& r : results) {
     w.u8(static_cast<std::uint8_t>(r.kind));
@@ -547,25 +432,25 @@ void encode_results(const std::vector<exec::StatementResult>& results,
   }
 }
 
-Result<std::vector<exec::StatementResult>> decode_results(WireReader& reader,
+Result<std::vector<exec::StatementResult>> decode_results(ByteReader& reader,
                                                           StringPool& pool) {
   GEMS_ASSIGN_OR_RETURN(std::uint32_t n, reader.count("result list"));
   std::vector<exec::StatementResult> results;
   results.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) {
     exec::StatementResult result;
-    GEMS_ASSIGN_OR_RETURN(std::uint8_t kind, reader.u8());
+    GEMS_ASSIGN_OR_RETURN(std::uint8_t kind, reader.u8("result kind"));
     if (kind > static_cast<std::uint8_t>(
                    exec::StatementResult::Kind::kSubgraph)) {
-      return parse_error("malformed frame: bad result kind " +
-                         std::to_string(kind));
+      return reader.error("bad result kind " + std::to_string(kind),
+                          reader.position() - 1);
     }
     result.kind = static_cast<exec::StatementResult::Kind>(kind);
     GEMS_ASSIGN_OR_RETURN(result.truncated, reader.boolean());
-    GEMS_ASSIGN_OR_RETURN(std::uint8_t into, reader.u8());
+    GEMS_ASSIGN_OR_RETURN(std::uint8_t into, reader.u8("into kind"));
     if (into > static_cast<std::uint8_t>(graql::IntoKind::kTable)) {
-      return parse_error("malformed frame: bad into kind " +
-                         std::to_string(into));
+      return reader.error("bad into kind " + std::to_string(into),
+                          reader.position() - 1);
     }
     result.into = static_cast<graql::IntoKind>(into);
     GEMS_ASSIGN_OR_RETURN(result.into_name, reader.str());
@@ -591,7 +476,7 @@ Result<std::vector<exec::StatementResult>> decode_results(WireReader& reader,
 }
 
 void encode_catalog(const std::vector<server::CatalogEntry>& entries,
-                    WireWriter& w) {
+                    ByteWriter& w) {
   w.u32(static_cast<std::uint32_t>(entries.size()));
   for (const auto& e : entries) {
     w.u8(static_cast<std::uint8_t>(e.kind));
@@ -601,17 +486,17 @@ void encode_catalog(const std::vector<server::CatalogEntry>& entries,
   }
 }
 
-Result<std::vector<server::CatalogEntry>> decode_catalog(WireReader& reader) {
+Result<std::vector<server::CatalogEntry>> decode_catalog(ByteReader& reader) {
   GEMS_ASSIGN_OR_RETURN(std::uint32_t n, reader.count("catalog list"));
   std::vector<server::CatalogEntry> entries;
   entries.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) {
     server::CatalogEntry e;
-    GEMS_ASSIGN_OR_RETURN(std::uint8_t kind, reader.u8());
+    GEMS_ASSIGN_OR_RETURN(std::uint8_t kind, reader.u8("catalog kind"));
     if (kind > static_cast<std::uint8_t>(
                    server::CatalogEntry::Kind::kSubgraph)) {
-      return parse_error("malformed frame: bad catalog kind " +
-                         std::to_string(kind));
+      return reader.error("bad catalog kind " + std::to_string(kind),
+                          reader.position() - 1);
     }
     e.kind = static_cast<server::CatalogEntry::Kind>(kind);
     GEMS_ASSIGN_OR_RETURN(e.name, reader.str());

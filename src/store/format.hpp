@@ -1,22 +1,12 @@
-// Byte-level codec and durable file primitives for gems::store.
-//
-// The snapshot and WAL formats share one discipline, inherited from the
-// wire layer (src/net): every variable-length field is length-prefixed,
-// every length is validated against the remaining input *before* any
-// allocation, and every file section is covered by a CRC32 so corruption
-// is detected as a typed Status instead of undefined behavior. The store
-// cannot reuse net::WireReader directly (net sits above server in the
-// layering, store below it), so this header provides the store's own
-// Writer/Reader pair plus the POSIX helpers for crash-safe file
-// replacement (write-to-temp, fsync, rename, fsync-directory).
-//
-// All integers are little-endian on disk. Bulk arrays (column data, CSR
-// offsets) are memcpy'd, which is only correct on little-endian hosts;
-// store.cpp static_asserts the host endianness.
+// Durable file primitives for gems::store: whole-file reads and
+// crash-safe file replacement (write-to-temp, fsync, rename,
+// fsync-directory). The snapshot and WAL byte formats are encoded and
+// bounds-checked by the shared codec (common/bytes.hpp); each file section
+// is covered by a CRC32, so corruption surfaces as a typed Status instead
+// of undefined behavior.
 #pragma once
 
 #include <cstdint>
-#include <cstring>
 #include <span>
 #include <string>
 #include <vector>
@@ -24,161 +14,6 @@
 #include "common/status.hpp"
 
 namespace gems::store {
-
-/// Hard cap on any single length prefix (strings, blobs, arrays). A
-/// snapshot section claiming more than this is corrupt by definition —
-/// the cap bounds allocation caused by a hostile or bit-flipped length
-/// before the CRC check would catch it.
-inline constexpr std::uint64_t kMaxFieldBytes = 1ull << 40;  // 1 TiB
-
-// ---- Writer ---------------------------------------------------------------
-
-/// Appends little-endian fields to a byte buffer.
-class Writer {
- public:
-  explicit Writer(std::vector<std::uint8_t>& out) : out_(out) {}
-
-  void u8(std::uint8_t v) { out_.push_back(v); }
-  void u16(std::uint16_t v) { le(v); }
-  void u32(std::uint32_t v) { le(v); }
-  void u64(std::uint64_t v) { le(v); }
-  void f64(double v) {
-    std::uint64_t bits;
-    std::memcpy(&bits, &v, sizeof(bits));
-    u64(bits);
-  }
-
-  /// u32 length prefix + raw bytes.
-  void str(std::string_view s) {
-    u32(static_cast<std::uint32_t>(s.size()));
-    bytes({reinterpret_cast<const std::uint8_t*>(s.data()), s.size()});
-  }
-
-  void bytes(std::span<const std::uint8_t> b) {
-    out_.insert(out_.end(), b.begin(), b.end());
-  }
-
-  /// u64 element count + raw little-endian array contents.
-  template <typename T>
-  void pod_array(std::span<const T> a) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    u64(a.size());
-    const auto* p = reinterpret_cast<const std::uint8_t*>(a.data());
-    bytes({p, a.size() * sizeof(T)});
-  }
-
-  std::size_t size() const { return out_.size(); }
-
- private:
-  template <typename T>
-  void le(T v) {
-    for (std::size_t i = 0; i < sizeof(T); ++i) {
-      out_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-    }
-  }
-
-  std::vector<std::uint8_t>& out_;
-};
-
-// ---- Reader ---------------------------------------------------------------
-
-/// Positional decoder over a byte span. Every read validates the remaining
-/// length first; errors carry the byte offset of the bad field so corrupt
-/// snapshots are diagnosable.
-class Reader {
- public:
-  explicit Reader(std::span<const std::uint8_t> data) : data_(data) {}
-
-  std::size_t pos() const { return pos_; }
-  std::size_t remaining() const { return data_.size() - pos_; }
-  bool at_end() const { return pos_ == data_.size(); }
-
-  Result<std::uint8_t> u8() {
-    GEMS_RETURN_IF_ERROR(need(1, "u8"));
-    return data_[pos_++];
-  }
-  Result<std::uint16_t> u16() { return le<std::uint16_t>("u16"); }
-  Result<std::uint32_t> u32() { return le<std::uint32_t>("u32"); }
-  Result<std::uint64_t> u64() { return le<std::uint64_t>("u64"); }
-  Result<double> f64() {
-    GEMS_ASSIGN_OR_RETURN(std::uint64_t bits, le<std::uint64_t>("f64"));
-    double v;
-    std::memcpy(&v, &bits, sizeof(v));
-    return v;
-  }
-
-  Result<std::string> str() {
-    const std::size_t at = pos_;
-    GEMS_ASSIGN_OR_RETURN(std::uint32_t len, le<std::uint32_t>("string"));
-    GEMS_RETURN_IF_ERROR(need(len, "string body", at));
-    std::string s(reinterpret_cast<const char*>(data_.data() + pos_), len);
-    pos_ += len;
-    return s;
-  }
-
-  Result<std::span<const std::uint8_t>> bytes(std::size_t len,
-                                              const char* what) {
-    GEMS_RETURN_IF_ERROR(need(len, what));
-    auto out = data_.subspan(pos_, len);
-    pos_ += len;
-    return out;
-  }
-
-  /// Reads a u64-count-prefixed POD array written by Writer::pod_array.
-  /// The count is validated against the remaining bytes before the vector
-  /// is allocated, so a corrupt count cannot trigger a huge allocation.
-  template <typename T>
-  Result<std::vector<T>> pod_array(const char* what) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    const std::size_t at = pos_;
-    GEMS_ASSIGN_OR_RETURN(std::uint64_t count, le<std::uint64_t>(what));
-    if (count > kMaxFieldBytes / sizeof(T) ||
-        count * sizeof(T) > remaining()) {
-      return corrupt(std::string(what) + ": count " + std::to_string(count) +
-                         " exceeds remaining input",
-                     at);
-    }
-    std::vector<T> out(static_cast<std::size_t>(count));
-    std::memcpy(out.data(), data_.data() + pos_, count * sizeof(T));
-    pos_ += count * sizeof(T);
-    return out;
-  }
-
-  Status corrupt(std::string detail, std::size_t at) const {
-    return io_error("corrupt store data at byte " + std::to_string(at) +
-                    ": " + std::move(detail));
-  }
-
- private:
-  Status need(std::size_t n, const char* what) const {
-    return need(n, what, pos_);
-  }
-  Status need(std::size_t n, const char* what, std::size_t at) const {
-    if (n > data_.size() - pos_) {
-      return corrupt(std::string(what) + " needs " + std::to_string(n) +
-                         " bytes, " + std::to_string(data_.size() - pos_) +
-                         " remain",
-                     at);
-    }
-    return Status::ok();
-  }
-
-  template <typename T>
-  Result<T> le(const char* what) {
-    GEMS_RETURN_IF_ERROR(need(sizeof(T), what));
-    T v = 0;
-    for (std::size_t i = 0; i < sizeof(T); ++i) {
-      v |= static_cast<T>(static_cast<T>(data_[pos_ + i]) << (8 * i));
-    }
-    pos_ += sizeof(T);
-    return v;
-  }
-
-  std::span<const std::uint8_t> data_;
-  std::size_t pos_ = 0;
-};
-
-// ---- Durable file helpers -------------------------------------------------
 
 /// Reads an entire file. kNotFound when it does not exist, kIoError on any
 /// other failure.

@@ -2,9 +2,9 @@
 
 #include <utility>
 
+#include "common/bytes.hpp"
 #include "common/crc32.hpp"
 #include "graql/ir.hpp"
-#include "store/format.hpp"
 
 namespace gems::store {
 
@@ -31,23 +31,25 @@ using storage::TypeKind;
 constexpr std::uint8_t kSourceByName = 1;
 constexpr std::uint8_t kSourceInline = 0;
 
-void encode_bitset(Writer& w, const DynamicBitset& b) {
+void encode_bitset(ByteWriter& w, const DynamicBitset& b) {
   w.u64(b.size());
   w.pod_array<std::uint64_t>(b.words());
 }
 
-Result<DynamicBitset> decode_bitset(Reader& r, const char* what) {
-  const std::size_t at = r.pos();
+Result<DynamicBitset> decode_bitset(ByteReader& r, const char* what) {
+  const std::size_t at = r.position();
   GEMS_ASSIGN_OR_RETURN(std::uint64_t size, r.u64());
   GEMS_ASSIGN_OR_RETURN(std::vector<std::uint64_t> words,
                         r.pod_array<std::uint64_t>(what));
   auto bits = DynamicBitset::from_words(static_cast<std::size_t>(size),
                                         std::move(words));
-  if (!bits.is_ok()) return r.corrupt(what + (": " + bits.status().message()), at);
+  if (!bits.is_ok()) {
+    return r.error(what + (": " + bits.status().message()), at);
+  }
   return std::move(bits).value();
 }
 
-void encode_table(Writer& w, const Table& t) {
+void encode_table(ByteWriter& w, const Table& t) {
   w.str(t.name());
   w.u32(static_cast<std::uint32_t>(t.schema().num_columns()));
   for (const ColumnDef& def : t.schema().columns()) {
@@ -75,14 +77,14 @@ void encode_table(Writer& w, const Table& t) {
   }
 }
 
-Result<TablePtr> decode_table(Reader& r, StringPool& pool) {
-  const std::size_t table_at = r.pos();
+Result<TablePtr> decode_table(ByteReader& r, StringPool& pool) {
+  const std::size_t table_at = r.position();
   GEMS_ASSIGN_OR_RETURN(std::string name, r.str());
   GEMS_ASSIGN_OR_RETURN(std::uint32_t ncols, r.u32());
   if (ncols > (1u << 20)) {
-    return r.corrupt("table '" + name + "': implausible column count " +
-                         std::to_string(ncols),
-                     table_at);
+    return r.error("table '" + name + "': implausible column count " +
+                       std::to_string(ncols),
+                   table_at);
   }
   std::vector<ColumnDef> defs;
   defs.reserve(ncols);
@@ -91,9 +93,9 @@ Result<TablePtr> decode_table(Reader& r, StringPool& pool) {
     GEMS_ASSIGN_OR_RETURN(def.name, r.str());
     GEMS_ASSIGN_OR_RETURN(std::uint8_t kind, r.u8());
     if (kind > static_cast<std::uint8_t>(TypeKind::kDate)) {
-      return r.corrupt("table '" + name + "': bad column kind " +
-                           std::to_string(kind),
-                       table_at);
+      return r.error("table '" + name + "': bad column kind " +
+                         std::to_string(kind),
+                     table_at);
     }
     def.type.kind = static_cast<TypeKind>(kind);
     GEMS_ASSIGN_OR_RETURN(def.type.varchar_length, r.u32());
@@ -101,14 +103,14 @@ Result<TablePtr> decode_table(Reader& r, StringPool& pool) {
   }
   auto schema = Schema::create(std::move(defs));
   if (!schema.is_ok()) {
-    return r.corrupt("table '" + name + "': " + schema.status().message(),
-                     table_at);
+    return r.error("table '" + name + "': " + schema.status().message(),
+                   table_at);
   }
   GEMS_ASSIGN_OR_RETURN(std::uint64_t nrows, r.u64());
   auto table =
       std::make_shared<Table>(name, std::move(schema).value(), pool);
   for (std::uint32_t c = 0; c < ncols; ++c) {
-    const std::size_t col_at = r.pos();
+    const std::size_t col_at = r.position();
     Column& col = table->column_mut(c);
     Status load = Status::ok();
     switch (col.type().kind) {
@@ -135,10 +137,10 @@ Result<TablePtr> decode_table(Reader& r, StringPool& pool) {
                               r.pod_array<StringId>("varchar column"));
         for (const StringId id : data) {
           if (id != kInvalidStringId && id >= pool.size()) {
-            return r.corrupt("table '" + name + "': string id " +
-                                 std::to_string(id) + " outside pool (" +
-                                 std::to_string(pool.size()) + " strings)",
-                             col_at);
+            return r.error("table '" + name + "': string id " +
+                               std::to_string(id) + " outside pool (" +
+                               std::to_string(pool.size()) + " strings)",
+                           col_at);
           }
         }
         GEMS_ASSIGN_OR_RETURN(DynamicBitset bits,
@@ -148,25 +150,24 @@ Result<TablePtr> decode_table(Reader& r, StringPool& pool) {
       }
     }
     if (!load.is_ok()) {
-      return r.corrupt("table '" + name + "': " + load.message(), col_at);
+      return r.error("table '" + name + "': " + load.message(), col_at);
     }
   }
   const Status finish = table->finish_restore();
   if (!finish.is_ok()) {
-    return r.corrupt("table '" + name + "': " + finish.message(), table_at);
+    return r.error("table '" + name + "': " + finish.message(), table_at);
   }
   if (table->num_rows() != nrows) {
-    return r.corrupt("table '" + name + "': row count " +
-                         std::to_string(table->num_rows()) +
-                         " != declared " + std::to_string(nrows),
-                     table_at);
+    return r.error("table '" + name + "': row count " +
+                       std::to_string(table->num_rows()) +
+                       " != declared " + std::to_string(nrows),
+                   table_at);
   }
   return table;
 }
 
 void encode_body(const exec::ExecContext& ctx, std::uint64_t wal_seq,
-                 std::vector<std::uint8_t>& out) {
-  Writer w(out);
+                 ByteWriter& w) {
   w.u64(wal_seq);
 
   // String pool, in id order (deterministic; ids in column data stay
@@ -283,7 +284,7 @@ void encode_body(const exec::ExecContext& ctx, std::uint64_t wal_seq,
   }
 }
 
-Status decode_body(Reader& r, exec::ExecContext& ctx,
+Status decode_body(ByteReader& r, exec::ExecContext& ctx,
                    SnapshotInfo& info) {
   GEMS_ASSIGN_OR_RETURN(info.wal_seq, r.u64());
 
@@ -291,14 +292,14 @@ Status decode_body(Reader& r, exec::ExecContext& ctx,
   // keys stay stable.
   GEMS_ASSIGN_OR_RETURN(std::uint64_t num_strings, r.u64());
   for (std::uint64_t i = 0; i < num_strings; ++i) {
-    const std::size_t at = r.pos();
+    const std::size_t at = r.position();
     GEMS_ASSIGN_OR_RETURN(std::string s, r.str());
     const StringId id = ctx.pool->intern(s);
     if (id != static_cast<StringId>(i)) {
-      return r.corrupt("pool string " + std::to_string(i) +
-                           " re-interned to id " + std::to_string(id) +
-                           " (duplicate in pool section)",
-                       at);
+      return r.error("pool string " + std::to_string(i) +
+                         " re-interned to id " + std::to_string(id) +
+                         " (duplicate in pool section)",
+                     at);
     }
   }
 
@@ -310,33 +311,33 @@ Status decode_body(Reader& r, exec::ExecContext& ctx,
 
   GEMS_ASSIGN_OR_RETURN(std::uint32_t num_vdecls, r.u32());
   GEMS_ASSIGN_OR_RETURN(std::uint32_t num_edecls, r.u32());
-  const std::size_t decls_at = r.pos();
+  const std::size_t decls_at = r.position();
   GEMS_ASSIGN_OR_RETURN(std::vector<std::uint8_t> script_bytes,
                         r.pod_array<std::uint8_t>("decl script"));
   auto script = graql::decode_script(script_bytes);
   if (!script.is_ok()) {
-    return r.corrupt("decl script: " + script.status().message(), decls_at);
+    return r.error("decl script: " + script.status().message(), decls_at);
   }
   if (script->statements.size() !=
       static_cast<std::size_t>(num_vdecls) + num_edecls) {
-    return r.corrupt("decl script statement count mismatch", decls_at);
+    return r.error("decl script statement count mismatch", decls_at);
   }
   for (std::size_t i = 0; i < script->statements.size(); ++i) {
     graql::Statement& stmt = script->statements[i];
     if (i < num_vdecls) {
       auto* s = std::get_if<graql::CreateVertexStmt>(&stmt);
       if (s == nullptr) {
-        return r.corrupt("decl script: statement " + std::to_string(i) +
-                             " is not a vertex declaration",
-                         decls_at);
+        return r.error("decl script: statement " + std::to_string(i) +
+                           " is not a vertex declaration",
+                       decls_at);
       }
       ctx.vertex_decls.push_back(std::move(s->decl));
     } else {
       auto* s = std::get_if<graql::CreateEdgeStmt>(&stmt);
       if (s == nullptr) {
-        return r.corrupt("decl script: statement " + std::to_string(i) +
-                             " is not an edge declaration",
-                         decls_at);
+        return r.error("decl script: statement " + std::to_string(i) +
+                           " is not an edge declaration",
+                       decls_at);
       }
       ctx.edge_decls.push_back(std::move(s->decl));
     }
@@ -344,12 +345,12 @@ Status decode_body(Reader& r, exec::ExecContext& ctx,
 
   GEMS_ASSIGN_OR_RETURN(std::uint32_t num_vtypes, r.u32());
   if (num_vtypes >= graph::kInvalidVertexType) {
-    return r.corrupt("implausible vertex type count " +
-                         std::to_string(num_vtypes),
-                     r.pos());
+    return r.error("implausible vertex type count " +
+                       std::to_string(num_vtypes),
+                   r.position());
   }
   for (std::uint32_t i = 0; i < num_vtypes; ++i) {
-    const std::size_t at = r.pos();
+    const std::size_t at = r.position();
     GEMS_ASSIGN_OR_RETURN(std::string name, r.str());
     GEMS_ASSIGN_OR_RETURN(std::uint8_t mode, r.u8());
     TablePtr source;
@@ -357,23 +358,23 @@ Status decode_body(Reader& r, exec::ExecContext& ctx,
       GEMS_ASSIGN_OR_RETURN(std::string tname, r.str());
       auto found = ctx.tables.find(tname);
       if (!found.is_ok()) {
-        return r.corrupt("vertex type '" + name +
-                             "': source table '" + tname + "' not in snapshot",
-                         at);
+        return r.error("vertex type '" + name +
+                           "': source table '" + tname + "' not in snapshot",
+                       at);
       }
       source = std::move(found).value();
     } else if (mode == kSourceInline) {
       GEMS_ASSIGN_OR_RETURN(source, decode_table(r, *ctx.pool));
     } else {
-      return r.corrupt("vertex type '" + name + "': bad source mode " +
-                           std::to_string(mode),
-                       at);
+      return r.error("vertex type '" + name + "': bad source mode " +
+                         std::to_string(mode),
+                     at);
     }
     GEMS_ASSIGN_OR_RETURN(std::vector<storage::ColumnIndex> key_cols,
                           r.pod_array<storage::ColumnIndex>("key columns"));
     GEMS_ASSIGN_OR_RETURN(std::uint8_t one_to_one, r.u8());
     if (one_to_one > 1) {
-      return r.corrupt("vertex type '" + name + "': bad one_to_one flag", at);
+      return r.error("vertex type '" + name + "': bad one_to_one flag", at);
     }
     GEMS_ASSIGN_OR_RETURN(std::vector<RowIndex> reps,
                           r.pod_array<RowIndex>("representative rows"));
@@ -383,24 +384,24 @@ Status decode_body(Reader& r, exec::ExecContext& ctx,
                                   std::move(name), std::move(source),
                                   std::move(key_cols), one_to_one != 0,
                                   std::move(reps), std::move(matching));
-    if (!vt.is_ok()) return r.corrupt(vt.status().message(), at);
+    if (!vt.is_ok()) return r.error(vt.status().message(), at);
     GEMS_RETURN_IF_ERROR(ctx.graph.add_vertex_type(std::move(vt).value()));
   }
 
   GEMS_ASSIGN_OR_RETURN(std::uint32_t num_etypes, r.u32());
   if (num_etypes >= graph::kInvalidEdgeType) {
-    return r.corrupt("implausible edge type count " +
-                         std::to_string(num_etypes),
-                     r.pos());
+    return r.error("implausible edge type count " +
+                       std::to_string(num_etypes),
+                   r.position());
   }
   for (std::uint32_t i = 0; i < num_etypes; ++i) {
-    const std::size_t at = r.pos();
+    const std::size_t at = r.position();
     GEMS_ASSIGN_OR_RETURN(std::string name, r.str());
     GEMS_ASSIGN_OR_RETURN(std::uint16_t src_type, r.u16());
     GEMS_ASSIGN_OR_RETURN(std::uint16_t dst_type, r.u16());
     if (src_type >= num_vtypes || dst_type >= num_vtypes) {
-      return r.corrupt("edge type '" + name + "': endpoint type out of range",
-                       at);
+      return r.error("edge type '" + name + "': endpoint type out of range",
+                     at);
     }
     GEMS_ASSIGN_OR_RETURN(std::vector<VertexIndex> src,
                           r.pod_array<VertexIndex>("edge sources"));
@@ -411,7 +412,7 @@ Status decode_body(Reader& r, exec::ExecContext& ctx,
     if (has_attrs == 1) {
       GEMS_ASSIGN_OR_RETURN(attr_table, decode_table(r, *ctx.pool));
     } else if (has_attrs != 0) {
-      return r.corrupt("edge type '" + name + "': bad attr-table flag", at);
+      return r.error("edge type '" + name + "': bad attr-table flag", at);
     }
     graph::CsrIndex csrs[2];
     for (graph::CsrIndex& csr : csrs) {
@@ -424,9 +425,9 @@ Status decode_body(Reader& r, exec::ExecContext& ctx,
       auto restored = graph::CsrIndex::restore(
           std::move(offsets), std::move(neighbor), std::move(edge));
       if (!restored.is_ok()) {
-        return r.corrupt("edge type '" + name + "': " +
-                             restored.status().message(),
-                         at);
+        return r.error("edge type '" + name + "': " +
+                           restored.status().message(),
+                       at);
       }
       csr = std::move(restored).value();
     }
@@ -435,21 +436,21 @@ Status decode_body(Reader& r, exec::ExecContext& ctx,
             ctx.graph.vertex_type(src_type).num_vertices() ||
         csrs[1].num_vertices() !=
             ctx.graph.vertex_type(dst_type).num_vertices()) {
-      return r.corrupt("edge type '" + name +
-                           "': CSR vertex count != endpoint type size",
-                       at);
+      return r.error("edge type '" + name +
+                         "': CSR vertex count != endpoint type size",
+                     at);
     }
     auto et = EdgeType::restore(static_cast<EdgeTypeId>(i), std::move(name),
                                 src_type, dst_type, std::move(src),
                                 std::move(dst), std::move(attr_table),
                                 std::move(csrs[0]), std::move(csrs[1]));
-    if (!et.is_ok()) return r.corrupt(et.status().message(), at);
+    if (!et.is_ok()) return r.error(et.status().message(), at);
     GEMS_RETURN_IF_ERROR(ctx.graph.add_edge_type(std::move(et).value()));
   }
 
   GEMS_ASSIGN_OR_RETURN(std::uint32_t num_subgraphs, r.u32());
   for (std::uint32_t i = 0; i < num_subgraphs; ++i) {
-    const std::size_t at = r.pos();
+    const std::size_t at = r.position();
     GEMS_ASSIGN_OR_RETURN(std::string name, r.str());
     auto sub = std::make_shared<exec::Subgraph>(name);
     GEMS_ASSIGN_OR_RETURN(std::uint32_t nv, r.u32());
@@ -460,9 +461,9 @@ Status decode_body(Reader& r, exec::ExecContext& ctx,
       if (type >= num_vtypes ||
           bits.size() !=
               ctx.graph.vertex_type(type).num_vertices()) {
-        return r.corrupt("subgraph '" + name +
-                             "': bad vertex membership entry",
-                         at);
+        return r.error("subgraph '" + name +
+                           "': bad vertex membership entry",
+                       at);
       }
       sub->vertices(type, bits.size()) = std::move(bits);
     }
@@ -473,9 +474,9 @@ Status decode_body(Reader& r, exec::ExecContext& ctx,
                             decode_bitset(r, "subgraph edges"));
       if (type >= num_etypes ||
           bits.size() != ctx.graph.edge_type(type).num_edges()) {
-        return r.corrupt("subgraph '" + name +
-                             "': bad edge membership entry",
-                         at);
+        return r.error("subgraph '" + name +
+                           "': bad edge membership entry",
+                       at);
       }
       sub->edges(type, bits.size()) = std::move(bits);
     }
@@ -483,9 +484,9 @@ Status decode_body(Reader& r, exec::ExecContext& ctx,
   }
 
   if (!r.at_end()) {
-    return r.corrupt(std::to_string(r.remaining()) +
-                         " trailing bytes after snapshot body",
-                     r.pos());
+    return r.error(std::to_string(r.remaining()) +
+                       " trailing bytes after snapshot body",
+                   r.position());
   }
   if (ctx.graph.num_vertex_types() > 0 || ctx.graph.num_edge_types() > 0) {
     ctx.graph_version = 1;
@@ -497,20 +498,19 @@ Status decode_body(Reader& r, exec::ExecContext& ctx,
 
 std::vector<std::uint8_t> encode_snapshot(const exec::ExecContext& ctx,
                                           std::uint64_t wal_seq) {
-  std::vector<std::uint8_t> body;
+  ByteWriter body;
   encode_body(ctx, wal_seq, body);
 
-  std::vector<std::uint8_t> out;
-  out.reserve(kSnapshotHeaderBytes + body.size());
-  Writer h(out);
+  ByteWriter h;
+  h.buffer().reserve(kSnapshotHeaderBytes + body.size());
   h.u32(kSnapshotMagic);
   h.u16(kSnapshotVersion);
   h.u16(0);  // reserved
   h.u64(body.size());
-  h.u32(crc32(body));
-  h.u32(crc32(out));  // header CRC over the 20 bytes written so far
-  out.insert(out.end(), body.begin(), body.end());
-  return out;
+  h.u32(crc32(body.buffer()));
+  h.u32(crc32(h.buffer()));  // header CRC over the 20 bytes written so far
+  h.raw(body.buffer().data(), body.size());
+  return h.take();
 }
 
 Result<SnapshotInfo> decode_snapshot(std::span<const std::uint8_t> bytes,
@@ -527,7 +527,7 @@ Result<SnapshotInfo> decode_snapshot(std::span<const std::uint8_t> bytes,
                     " bytes, header needs " +
                     std::to_string(kSnapshotHeaderBytes));
   }
-  Reader h(bytes.subspan(0, kSnapshotHeaderBytes));
+  ByteReader h(bytes.subspan(0, kSnapshotHeaderBytes), "snapshot header");
   GEMS_ASSIGN_OR_RETURN(std::uint32_t magic, h.u32());
   GEMS_ASSIGN_OR_RETURN(std::uint16_t version, h.u16());
   GEMS_ASSIGN_OR_RETURN(std::uint16_t reserved, h.u16());
@@ -559,8 +559,14 @@ Result<SnapshotInfo> decode_snapshot(std::span<const std::uint8_t> bytes,
 
   SnapshotInfo info;
   info.body_bytes = body.size();
-  Reader r(body);
-  GEMS_RETURN_IF_ERROR(decode_body(r, ctx, info));
+  ByteReader r(body, "snapshot");
+  const Status decoded = decode_body(r, ctx, info);
+  // A body that passed its CRC yet does not decode is corrupt store data,
+  // reported as kIoError like every other store corruption.
+  if (decoded.code() == StatusCode::kParseError) {
+    return io_error("corrupt store data: " + decoded.message());
+  }
+  GEMS_RETURN_IF_ERROR(decoded);
   return info;
 }
 

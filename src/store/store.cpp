@@ -1,9 +1,9 @@
 #include "store/store.hpp"
 
-#include <bit>
 #include <utility>
 #include <variant>
 
+#include "common/bytes.hpp"
 #include "common/logging.hpp"
 #include "common/timer.hpp"
 #include "graph/delta.hpp"
@@ -12,10 +12,6 @@
 #include "store/snapshot.hpp"
 
 namespace gems::store {
-
-// Bulk array sections are memcpy'd in host byte order (format.hpp).
-static_assert(std::endian::native == std::endian::little,
-              "gems::store snapshots assume a little-endian host");
 
 namespace {
 
@@ -51,10 +47,10 @@ Status replay_record(const WalRecord& rec, exec::ExecContext& ctx,
   // kIngestRows: table name, column count, row count, then the cells in
   // row-major order using the IR value codec. Replay is independent of
   // the original CSV file.
-  Reader r(rec.payload);
-  GEMS_ASSIGN_OR_RETURN(std::string table_name, r.str());
-  GEMS_ASSIGN_OR_RETURN(std::uint32_t ncols, r.u32());
-  GEMS_ASSIGN_OR_RETURN(std::uint64_t nrows, r.u64());
+  ByteReader r(rec.payload, "WAL record");
+  GEMS_ASSIGN_OR_RETURN(std::string table_name, r.str("table name"));
+  GEMS_ASSIGN_OR_RETURN(std::uint32_t ncols, r.u32("column count"));
+  GEMS_ASSIGN_OR_RETURN(std::uint64_t nrows, r.u64("row count"));
   auto table = ctx.tables.find(table_name);
   if (!table.is_ok()) return table.status().with_context(where);
   if (ncols != (*table)->num_columns()) {
@@ -62,12 +58,10 @@ Status replay_record(const WalRecord& rec, exec::ExecContext& ctx,
                     " != table '" + table_name + "' arity " +
                     std::to_string((*table)->num_columns()));
   }
-  const std::span<const std::uint8_t> payload(rec.payload);
-  std::size_t pos = r.pos();
   std::vector<storage::Value> row(ncols);
   for (std::uint64_t i = 0; i < nrows; ++i) {
     for (std::uint32_t c = 0; c < ncols; ++c) {
-      auto value = graql::decode_value(payload, pos);
+      auto value = graql::decode_value(r);
       if (!value.is_ok()) return value.status().with_context(where);
       row[c] = std::move(value).value();
     }
@@ -76,8 +70,8 @@ Status replay_record(const WalRecord& rec, exec::ExecContext& ctx,
     // typed error instead of poisoning the column data.
     GEMS_RETURN_IF_ERROR((*table)->append_row(row).with_context(where));
   }
-  if (pos != rec.payload.size()) {
-    return io_error(where + ": " + std::to_string(rec.payload.size() - pos) +
+  if (!r.at_end()) {
+    return io_error(where + ": " + std::to_string(r.remaining()) +
                     " trailing bytes after the declared rows");
   }
   if (ctx.incremental_ingest) {
@@ -163,7 +157,13 @@ Result<std::unique_ptr<Store>> Store::open(StoreOptions options,
       ++skipped;  // already captured by the snapshot
       continue;
     }
-    GEMS_RETURN_IF_ERROR(replay_record(rec, ctx, needs_rebuild));
+    const Status replayed = replay_record(rec, ctx, needs_rebuild);
+    // A record that passed its CRC yet does not decode is corrupt store
+    // data, reported as kIoError like every other store corruption.
+    if (replayed.code() == StatusCode::kParseError) {
+      return io_error("corrupt store data: " + replayed.message());
+    }
+    GEMS_RETURN_IF_ERROR(replayed);
     ++applied;
   }
   if (needs_rebuild) {
@@ -204,7 +204,7 @@ Status Store::log_mutation(const exec::MutationEvent& ev) {
       return internal_error("log_mutation: ingest event carries no table");
     }
     type = WalRecordType::kIngestRows;
-    Writer w(payload);
+    ByteWriter w;
     w.str(ev.table->name());
     w.u32(static_cast<std::uint32_t>(ev.table->num_columns()));
     w.u64(ev.num_rows);
@@ -213,9 +213,10 @@ Status Store::log_mutation(const exec::MutationEvent& ev) {
         graql::encode_value(
             ev.table->value_at(static_cast<storage::RowIndex>(r),
                                static_cast<storage::ColumnIndex>(c)),
-            payload);
+            w);
       }
     }
+    payload = w.take();
   } else if (std::holds_alternative<graql::CreateTableStmt>(*ev.statement) ||
              std::holds_alternative<graql::CreateVertexStmt>(*ev.statement) ||
              std::holds_alternative<graql::CreateEdgeStmt>(*ev.statement)) {

@@ -5,7 +5,9 @@
 
 #include <cerrno>
 #include <cstring>
+#include <limits>
 
+#include "common/bytes.hpp"
 #include "common/crc32.hpp"
 #include "common/logging.hpp"
 #include "store/format.hpp"
@@ -14,16 +16,13 @@ namespace gems::store {
 
 namespace {
 
-/// CRC over the covered part of a frame: seq (LE) | type | payload.
+/// CRC over the covered part of a frame: seq | type | payload.
 std::uint32_t record_crc(std::uint64_t seq, WalRecordType type,
                          std::span<const std::uint8_t> payload) {
-  std::uint32_t crc = kCrc32Init;
-  std::uint8_t head[9];
-  for (std::size_t i = 0; i < 8; ++i) {
-    head[i] = static_cast<std::uint8_t>(seq >> (8 * i));
-  }
-  head[8] = static_cast<std::uint8_t>(type);
-  crc = crc32_update(crc, {head, sizeof(head)});
+  ByteWriter head;
+  head.u64(seq);
+  head.u8(static_cast<std::uint8_t>(type));
+  std::uint32_t crc = crc32_update(kCrc32Init, head.buffer());
   crc = crc32_update(crc, payload);
   return crc32_final(crc);
 }
@@ -34,13 +33,12 @@ Status errno_status(const char* op, const std::string& path) {
 }
 
 std::vector<std::uint8_t> make_header(std::uint64_t snapshot_seq) {
-  std::vector<std::uint8_t> out;
-  Writer w(out);
+  ByteWriter w;
   w.u32(kWalMagic);
   w.u16(kWalVersion);
   w.u16(0);  // reserved
   w.u64(snapshot_seq);
-  return out;
+  return w.take();
 }
 
 }  // namespace
@@ -70,7 +68,8 @@ Result<Wal::OpenResult> Wal::open(std::string path,
       return io_error("WAL '" + path + "' truncated inside its header (" +
                       std::to_string(bytes.size()) + " bytes)");
     }
-    Reader h(std::span<const std::uint8_t>(bytes).subspan(0, kWalHeaderBytes));
+    const std::span<const std::uint8_t> file(bytes);
+    ByteReader h(file.subspan(0, kWalHeaderBytes), "WAL header");
     GEMS_ASSIGN_OR_RETURN(std::uint32_t magic, h.u32());
     GEMS_ASSIGN_OR_RETURN(std::uint16_t version, h.u16());
     GEMS_ASSIGN_OR_RETURN(std::uint16_t reserved, h.u16());
@@ -86,9 +85,9 @@ Result<Wal::OpenResult> Wal::open(std::string path,
     // Scan records; stop (and truncate) at the first torn/corrupt frame.
     std::size_t valid_end = kWalHeaderBytes;
     std::uint64_t last_seq = out.header_snapshot_seq;
-    Reader r(std::span<const std::uint8_t>(bytes).subspan(kWalHeaderBytes));
+    ByteReader r(file.subspan(kWalHeaderBytes), "WAL");
     while (!r.at_end()) {
-      const std::size_t frame_start = kWalHeaderBytes + r.pos();
+      const std::size_t frame_start = kWalHeaderBytes + r.position();
       if (r.remaining() < kWalFrameBytes) break;  // torn frame header
       std::uint32_t payload_len = r.u32().value();
       std::uint32_t crc = r.u32().value();
@@ -141,18 +140,19 @@ Wal::~Wal() {
 
 Result<std::uint64_t> Wal::append(WalRecordType type,
                                   std::span<const std::uint8_t> payload) {
-  if (payload.size() > kMaxFieldBytes) {
+  // The frame's length field is a u32.
+  if (payload.size() > std::numeric_limits<std::uint32_t>::max()) {
     return invalid_argument("WAL record payload too large");
   }
   const std::uint64_t seq = next_seq_;
-  std::vector<std::uint8_t> frame;
-  frame.reserve(kWalFrameBytes + payload.size());
-  Writer w(frame);
+  ByteWriter w;
+  w.buffer().reserve(kWalFrameBytes + payload.size());
   w.u32(static_cast<std::uint32_t>(payload.size()));
   w.u32(record_crc(seq, type, payload));
   w.u64(seq);
   w.u8(static_cast<std::uint8_t>(type));
-  w.bytes(payload);
+  w.raw(payload.data(), payload.size());
+  const std::vector<std::uint8_t>& frame = w.buffer();
 
   std::size_t done = 0;
   while (done < frame.size()) {

@@ -1,15 +1,19 @@
-// Unit tests for src/common: Status/Result, bitset, string pool, PRNG,
-// thread pool.
+// Unit tests for src/common: Status/Result, bitset, byte codec, string
+// pool, PRNG, thread pool.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <bit>
+#include <functional>
+#include <limits>
 #include <mutex>
 #include <set>
 #include <thread>
 
 #include "common/bitset.hpp"
+#include "common/bytes.hpp"
 #include "common/hash.hpp"
 #include "common/prng.hpp"
 #include "common/status.hpp"
@@ -185,6 +189,182 @@ TEST(BitsetTest, ForEachInRangeCoversExactlyTheWords) {
   });
   EXPECT_EQ(got, want);
   EXPECT_EQ(b.num_words(), 5u);  // ceil(300 / 64)
+}
+
+// ---- ByteWriter / ByteReader ---------------------------------------------
+
+/// Fails unless `got` holds exactly `want` (doubles compare by bits, so
+/// -0.0 and NaN payloads count).
+template <class T>
+Status expect_value(Result<T> got, const T& want) {
+  if (!got.is_ok()) return got.status();
+  bool same;
+  if constexpr (std::is_same_v<T, double>) {
+    same = std::bit_cast<std::uint64_t>(*got) ==
+           std::bit_cast<std::uint64_t>(want);
+  } else {
+    same = *got == want;
+  }
+  return same ? Status::ok() : internal_error("decoded a different value");
+}
+
+/// Expects the codec's rejection: a kParseError carrying a byte offset.
+void expect_rejected(const Status& status, const std::string& what) {
+  EXPECT_EQ(status.code(), StatusCode::kParseError)
+      << what << ": " << status.to_string();
+  EXPECT_NE(status.message().find("byte offset"), std::string::npos)
+      << what << ": " << status.to_string();
+}
+
+TEST(ByteReaderTest, RoundTripsRejectsTruncationAndHostileCounts) {
+  // One field of a mixed record: how to write it, and how to read it back
+  // and check the value.
+  struct Field {
+    const char* name;
+    std::function<void(ByteWriter&)> write;
+    std::function<Status(ByteReader&)> read;
+  };
+  const std::vector<std::uint8_t> blob = {0, 1, 0xFF};
+  const std::vector<std::uint32_t> ids = {7, 0xFFFFFFFFu, 0};
+  const double nan = std::bit_cast<double>(0x7FF8000000000123ull);
+  const std::vector<Field> fields = {
+      {"u8", [](ByteWriter& w) { w.u8(0xAB); },
+       [](ByteReader& r) { return expect_value<std::uint8_t>(r.u8(), 0xAB); }},
+      {"u16", [](ByteWriter& w) { w.u16(0xBEEF); },
+       [](ByteReader& r) {
+         return expect_value<std::uint16_t>(r.u16(), 0xBEEF);
+       }},
+      {"u32", [](ByteWriter& w) { w.u32(0xDEADBEEFu); },
+       [](ByteReader& r) {
+         return expect_value<std::uint32_t>(r.u32(), 0xDEADBEEFu);
+       }},
+      {"u64", [](ByteWriter& w) { w.u64(~0ull - 1); },
+       [](ByteReader& r) {
+         return expect_value<std::uint64_t>(r.u64(), ~0ull - 1);
+       }},
+      {"i64", [](ByteWriter& w) { w.i64(-42); },
+       [](ByteReader& r) { return expect_value<std::int64_t>(r.i64(), -42); }},
+      {"f64 -0.0", [](ByteWriter& w) { w.f64(-0.0); },
+       [](ByteReader& r) { return expect_value<double>(r.f64(), -0.0); }},
+      {"f64 NaN", [nan](ByteWriter& w) { w.f64(nan); },
+       [nan](ByteReader& r) { return expect_value<double>(r.f64(), nan); }},
+      {"bool", [](ByteWriter& w) { w.boolean(true); },
+       [](ByteReader& r) { return expect_value<bool>(r.boolean(), true); }},
+      {"str", [](ByteWriter& w) { w.str("hello"); },
+       [](ByteReader& r) {
+         return expect_value<std::string>(r.str(), "hello");
+       }},
+      {"empty str", [](ByteWriter& w) { w.str(""); },
+       [](ByteReader& r) { return expect_value<std::string>(r.str(), ""); }},
+      {"blob", [&blob](ByteWriter& w) { w.blob(blob); },
+       [&blob](ByteReader& r) { return expect_value(r.blob(), blob); }},
+      {"raw bytes", [&blob](ByteWriter& w) { w.raw(blob.data(), blob.size()); },
+       [&blob](ByteReader& r) -> Status {
+         GEMS_ASSIGN_OR_RETURN(auto got, r.bytes(blob.size(), "raw bytes"));
+         return expect_value(
+             Result<std::vector<std::uint8_t>>(
+                 std::vector<std::uint8_t>(got.begin(), got.end())),
+             blob);
+       }},
+      {"pod_array", [&ids](ByteWriter& w) {
+         w.pod_array<std::uint32_t>(ids);
+       },
+       [&ids](ByteReader& r) {
+         return expect_value(r.pod_array<std::uint32_t>("ids"), ids);
+       }},
+      {"count + array", [&ids](ByteWriter& w) {
+         w.u32(static_cast<std::uint32_t>(ids.size()));
+         w.raw(ids.data(), ids.size() * sizeof(ids[0]));
+       },
+       [&ids](ByteReader& r) -> Status {
+         GEMS_ASSIGN_OR_RETURN(std::uint32_t n, r.count("ids", 4));
+         return expect_value(r.array<std::uint32_t>(n, "ids"), ids);
+       }},
+  };
+
+  // Every primitive round-trips on its own, consuming exactly its bytes.
+  for (const Field& f : fields) {
+    ByteWriter w;
+    f.write(w);
+    ByteReader r(w.buffer());
+    EXPECT_TRUE(f.read(r).is_ok()) << f.name;
+    EXPECT_TRUE(r.at_end()) << f.name;
+  }
+
+  // The mixed record decodes whole, and truncation at every byte fails
+  // with the offset of the field that ran short.
+  ByteWriter record;
+  for (const Field& f : fields) f.write(record);
+  const std::vector<std::uint8_t> bytes = record.take();
+  auto read_all = [&](std::span<const std::uint8_t> input) {
+    ByteReader r(input, "record");
+    for (const Field& f : fields) GEMS_RETURN_IF_ERROR(f.read(r));
+    return r.at_end() ? Status::ok() : internal_error("trailing bytes");
+  };
+  ASSERT_TRUE(read_all(bytes).is_ok());
+  for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
+    expect_rejected(read_all({bytes.data(), cut}),
+                    "truncation at byte " + std::to_string(cut));
+  }
+
+  // Lengths and counts past the remaining bytes are rejected before
+  // anything is allocated from them — including counts whose byte size
+  // n * sizeof(T) overflows (an unchecked allocation would throw).
+  struct Hostile {
+    const char* name;
+    std::function<void(ByteWriter&)> write;
+    std::function<Status(ByteReader&)> read;
+  };
+  const std::vector<Hostile> hostile = {
+      {"count 2^32-1", [](ByteWriter& w) { w.u32(0xFFFFFFFFu); w.u64(0); },
+       [](ByteReader& r) { return r.count("items").status(); }},
+      {"count of 8-byte elements", [](ByteWriter& w) { w.u32(2); w.u64(0); },
+       [](ByteReader& r) { return r.count("items", 8).status(); }},
+      {"str length 2^32-1", [](ByteWriter& w) { w.u32(0xFFFFFFFFu); w.u8(1); },
+       [](ByteReader& r) { return r.str().status(); }},
+      {"blob length", [](ByteWriter& w) { w.u32(5); w.u32(0); },
+       [](ByteReader& r) { return r.blob().status(); }},
+      {"bytes", [](ByteWriter& w) { w.u32(0); },
+       [](ByteReader& r) { return r.bytes(5, "bytes").status(); }},
+      {"pod_array count 2^32-1",
+       [](ByteWriter& w) { w.u64(0xFFFFFFFFull); w.u64(0); },
+       [](ByteReader& r) {
+         return r.pod_array<std::uint64_t>("words").status();
+       }},
+      {"pod_array count overflowing n * 8",
+       [](ByteWriter& w) { w.u64((1ull << 61) + 1); w.u64(0); },
+       [](ByteReader& r) {
+         return r.pod_array<std::uint64_t>("words").status();
+       }},
+      {"pod_array count u64 max",
+       [](ByteWriter& w) { w.u64(~0ull); w.u32(0); },
+       [](ByteReader& r) {
+         return r.pod_array<std::uint32_t>("codes").status();
+       }},
+      {"array count overflowing n * 8", [](ByteWriter& w) { w.u64(0); },
+       [](ByteReader& r) {
+         return r.array<std::uint64_t>((1ull << 61) + 1, "words").status();
+       }},
+  };
+  for (const Hostile& h : hostile) {
+    ByteWriter w;
+    h.write(w);
+    ByteReader r(w.buffer());
+    expect_rejected(h.read(r), h.name);
+  }
+
+  // A count that fits exactly is accepted.
+  ByteWriter fits;
+  fits.u32(2);
+  fits.u64(0);
+  fits.u64(0);
+  ByteReader r(fits.buffer());
+  EXPECT_TRUE(r.count("items", 8).is_ok());
+
+  // Decoders' own checks share the message shape.
+  const Status bad = ByteReader(bytes, "IR").error("bad expr tag", 12);
+  EXPECT_EQ(bad.code(), StatusCode::kParseError);
+  EXPECT_EQ(bad.message(), "malformed IR: bad expr tag at byte offset 12");
 }
 
 // ---- StringPool -----------------------------------------------------------

@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <numeric>
+#include <tuple>
 
 #include "bsbm/generator.hpp"
 #include "common/thread_pool.hpp"
@@ -24,16 +25,16 @@ TEST(RuntimeTest, PointToPointMessaging) {
   std::array<std::atomic<int>, 3> received{};
   cluster.run([&](RankCtx& ctx) {
     if (ctx.rank() == 0) {
-      std::vector<std::uint8_t> payload;
-      put_u32(payload, 42);
-      ctx.send(1, 7, payload);
-      ctx.send(2, 7, payload);
+      ByteWriter payload;
+      payload.u32(42);
+      ctx.send(1, 7, payload.buffer());
+      ctx.send(2, 7, payload.buffer());
     } else {
       Message m = ctx.recv();
       EXPECT_EQ(m.from, 0);
       EXPECT_EQ(m.tag, 7);
-      std::size_t pos = 0;
-      received[ctx.rank()] = static_cast<int>(get_u32(m.payload, pos));
+      ByteReader reader(m.payload);
+      received[ctx.rank()] = static_cast<int>(reader.u32().value());
     }
   });
   EXPECT_EQ(received[1].load(), 42);
@@ -348,6 +349,89 @@ TEST_F(DistTest, CrossPredicatesFallBackUnimplemented) {
                 .status()
                 .code(),
             StatusCode::kUnimplemented);
+}
+
+// ---- Domain hand-back codec ----------------------------------------------
+
+/// Vertex counts per type of the shape the hostile cases are decoded
+/// against.
+const std::vector<std::size_t> kTypeSizes = {70, 3, 5};
+
+std::vector<std::uint8_t> valid_domains() {
+  std::vector<exec::Domain> domains(2);
+  DynamicBitset a(70);
+  a.set(0);
+  a.set(69);
+  domains[0].sets.emplace(0, a);
+  domains[0].sets.emplace(1, DynamicBitset(3));
+  DynamicBitset b(5);
+  b.set(4);
+  domains[1].sets.emplace(2, b);
+  std::vector<std::uint8_t> bytes;
+  encode_domains(domains, bytes);
+  return bytes;
+}
+
+/// One variable holding the given (type, size, indices) sets.
+std::vector<std::uint8_t> one_var(
+    const std::vector<std::tuple<std::uint32_t, std::uint64_t,
+                                 std::vector<std::uint32_t>>>& sets) {
+  ByteWriter w;
+  w.u32(1);
+  w.u32(static_cast<std::uint32_t>(sets.size()));
+  for (const auto& [type, size, indices] : sets) {
+    w.u32(type);
+    w.u64(size);
+    w.u32(static_cast<std::uint32_t>(indices.size()));
+    for (const std::uint32_t i : indices) w.u32(i);
+  }
+  return w.take();
+}
+
+void expect_parse_error(const Result<std::vector<exec::Domain>>& got,
+                        const std::string& what) {
+  ASSERT_FALSE(got.is_ok()) << what;
+  EXPECT_EQ(got.status().code(), StatusCode::kParseError)
+      << what << ": " << got.status().to_string();
+}
+
+TEST(DecodeDomainsTest, RoundTripsTheExpectedShape) {
+  const std::vector<std::uint8_t> bytes = valid_domains();
+  auto decoded = decode_domains(bytes, 2, kTypeSizes);
+  ASSERT_TRUE(decoded.is_ok()) << decoded.status().to_string();
+  EXPECT_TRUE(decoded->at(0).sets.at(0).test(69));
+  EXPECT_EQ(decoded->at(1).sets.at(2).count(), 1u);
+  std::vector<std::uint8_t> again;
+  encode_domains(*decoded, again);
+  EXPECT_EQ(again, bytes);
+}
+
+TEST(DecodeDomainsTest, RejectsHostileShapesBeforeAllocating) {
+  const std::span<const std::size_t> sizes(kTypeSizes);
+  expect_parse_error(decode_domains(one_var({{0, 1ull << 40, {}}}), 1, sizes),
+                     "set size 2^40");
+  expect_parse_error(decode_domains(valid_domains(), 3, sizes),
+                     "wrong variable count");
+  expect_parse_error(decode_domains(valid_domains(), 1, sizes),
+                     "fewer variables than sent");
+  expect_parse_error(decode_domains(one_var({{1, 3, {3}}}), 1, sizes),
+                     "index >= size");
+  expect_parse_error(
+      decode_domains(one_var({{1, 3, {0}}, {1, 3, {1}}}), 1, sizes),
+      "duplicate type");
+  expect_parse_error(decode_domains(one_var({{3, 1, {}}}), 1, sizes),
+                     "type outside the graph");
+  std::vector<std::uint8_t> padded = valid_domains();
+  padded.push_back(0);
+  expect_parse_error(decode_domains(padded, 2, sizes), "trailing byte");
+}
+
+TEST(DecodeDomainsTest, TruncationAtEveryByteFails) {
+  const std::vector<std::uint8_t> bytes = valid_domains();
+  for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
+    expect_parse_error(decode_domains({bytes.data(), cut}, 2, kTypeSizes),
+                       "truncation at byte " + std::to_string(cut));
+  }
 }
 
 }  // namespace

@@ -84,7 +84,7 @@ struct RawConn {
                    encode_handshake_request({kWireVersion, "raw-test"})));
     auto frame = recv_frame(sock, kDefaultMaxFrameBytes);
     GEMS_RETURN_IF_ERROR(frame.status());
-    WireReader reader(frame->payload);
+    ByteReader reader(frame->payload);
     return decode_status(reader);
   }
 
@@ -97,7 +97,7 @@ struct RawConn {
         got.emplace(std::uint64_t(-1), frame.status());
         break;
       }
-      WireReader reader(frame->payload);
+      ByteReader reader(frame->payload);
       got.emplace(frame->header.request_id, decode_status(reader));
     }
     return got;
@@ -244,7 +244,7 @@ TEST(NetTest, RejectsOversizedFrameBeforeAllocating) {
   ASSERT_TRUE(conn.open(server.port()).is_ok());
 
   // Well-formed header whose payload length blows the 4 KiB frame budget.
-  WireWriter header;
+  ByteWriter header;
   header.u32(kFrameMagic);
   header.u16(kWireVersion);
   header.u8(static_cast<std::uint8_t>(Verb::kRunScript));
@@ -271,7 +271,7 @@ TEST(NetTest, TruncatedFrameClosesConnectionQuietly) {
 
   // Header promises 64 payload bytes; send 3 and half-close. The server
   // sees EOF mid-frame (kUnavailable, not kParseError) and just closes.
-  WireWriter partial;
+  ByteWriter partial;
   partial.u32(kFrameMagic);
   partial.u16(kWireVersion);
   partial.u8(static_cast<std::uint8_t>(Verb::kRunScript));
@@ -327,7 +327,7 @@ TEST(NetTest, RejectsVersionTwoPeers) {
   ASSERT_TRUE(conn.open(server.port(), /*handshake=*/false).is_ok());
   const std::vector<std::uint8_t> payload =
       encode_handshake_request({2, "old-client"});
-  WireWriter frame;
+  ByteWriter frame;
   frame.u32(kFrameMagic);
   frame.u16(2);
   frame.u8(static_cast<std::uint8_t>(Verb::kHandshake));
@@ -398,10 +398,10 @@ TEST(NetTest, DecodeParamsRejectsHostileCount) {
 /// Encodes `results` and decodes them into `pool`, as server and client do.
 Result<std::vector<StatementResult>> round_trip(
     const std::vector<StatementResult>& results, StringPool& pool) {
-  WireWriter w;
+  ByteWriter w;
   encode_results(results, w);
   const std::vector<std::uint8_t> bytes = w.take();
-  WireReader reader(bytes);
+  ByteReader reader(bytes);
   auto decoded = decode_results(reader, pool);
   if (decoded.is_ok() && !reader.at_end()) {
     return parse_error("trailing bytes after the results");
@@ -516,7 +516,7 @@ TEST(ResultCodecTest, RepeatedStringsCrossTheWireOnce) {
     ASSERT_TRUE(table->append_row(std::vector<Value>{Value::varchar(wide)})
                     .is_ok());
   }
-  WireWriter w;
+  ByteWriter w;
   encode_results({table_result(table)}, w);
   // One dictionary entry plus a 4-byte code per row, not 1000 copies.
   EXPECT_LT(w.buffer().size(), 1000u * 4 + 64 + 256);
@@ -537,12 +537,12 @@ TEST(ResultCodecTest, TruncationAtEveryByteFailsCleanly) {
                         i == 3 ? Value::null() : Value::varchar("v")})
                     .is_ok());
   }
-  WireWriter w;
+  ByteWriter w;
   encode_results({table_result(table)}, w);
   const std::vector<std::uint8_t> bytes = w.take();
   for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
     StringPool client;
-    WireReader reader(std::span<const std::uint8_t>(bytes.data(), cut));
+    ByteReader reader(std::span<const std::uint8_t>(bytes.data(), cut));
     auto decoded = decode_results(reader, client);  // must not crash
     ASSERT_FALSE(decoded.is_ok()) << "truncation at byte " << cut;
     EXPECT_EQ(decoded.status().code(), StatusCode::kParseError) << cut;
@@ -551,9 +551,9 @@ TEST(ResultCodecTest, TruncationAtEveryByteFailsCleanly) {
 
 /// A one-result frame with a single column of `kind` (varchar width
 /// `width`) and `rows` rows, up to where the column's blocks begin.
-WireWriter hostile_table(storage::TypeKind kind, std::uint32_t width,
+ByteWriter hostile_table(storage::TypeKind kind, std::uint32_t width,
                          std::uint64_t rows) {
-  WireWriter w;
+  ByteWriter w;
   w.u32(1);  // one result
   w.u8(static_cast<std::uint8_t>(StatementResult::Kind::kTable));
   w.boolean(false);  // truncated
@@ -570,44 +570,44 @@ WireWriter hostile_table(storage::TypeKind kind, std::uint32_t width,
   return w;
 }
 
-Status decode_hostile(WireWriter& w) {
+Status decode_hostile(ByteWriter& w) {
   StringPool pool;
-  WireReader reader(w.buffer());
+  ByteReader reader(w.buffer());
   return decode_results(reader, pool).status();
 }
 
 TEST(ResultCodecTest, RejectsHostileColumnBlocks) {
   using storage::TypeKind;
-  auto expect_parse_error = [](WireWriter w, const char* needle) {
+  auto expect_parse_error = [](ByteWriter w, const char* needle) {
     const Status st = decode_hostile(w);
     EXPECT_EQ(st.code(), StatusCode::kParseError) << st.to_string();
     EXPECT_NE(st.message().find(needle), std::string::npos)
         << st.to_string();
   };
   {  // Validity block shorter than ceil(100 / 64) words.
-    WireWriter w = hostile_table(TypeKind::kInt64, 0, 100);
+    ByteWriter w = hostile_table(TypeKind::kInt64, 0, 100);
     w.u64(~0ull);
     expect_parse_error(std::move(w), "validity block");
   }
   {  // Validity bits set past the row count.
-    WireWriter w = hostile_table(TypeKind::kInt64, 0, 3);
+    ByteWriter w = hostile_table(TypeKind::kInt64, 0, 3);
     w.u64(0xffull);
     for (int i = 0; i < 3; ++i) w.u64(1);
     expect_parse_error(std::move(w), "validity block");
   }
   {  // Fixed-width payload shorter than the row count.
-    WireWriter w = hostile_table(TypeKind::kDouble, 0, 3);
+    ByteWriter w = hostile_table(TypeKind::kDouble, 0, 3);
     w.u64(0x7ull);
     w.u64(0);
     w.u64(0);
     expect_parse_error(std::move(w), "payload");
   }
   {  // Row count past the 32-bit row index range.
-    WireWriter w = hostile_table(TypeKind::kInt64, 0, 1ull << 40);
+    ByteWriter w = hostile_table(TypeKind::kInt64, 0, 1ull << 40);
     expect_parse_error(std::move(w), "row count");
   }
   {  // Code at the dictionary size.
-    WireWriter w = hostile_table(TypeKind::kVarchar, 8, 2);
+    ByteWriter w = hostile_table(TypeKind::kVarchar, 8, 2);
     w.u64(0x3ull);
     w.u32(0);
     w.u32(1);
@@ -616,7 +616,7 @@ TEST(ResultCodecTest, RejectsHostileColumnBlocks) {
     expect_parse_error(std::move(w), "dictionary size");
   }
   {  // A NULL lane's code is not looked up; a valid one is.
-    WireWriter w = hostile_table(TypeKind::kVarchar, 8, 2);
+    ByteWriter w = hostile_table(TypeKind::kVarchar, 8, 2);
     w.u64(0x1ull);
     w.u32(0);
     w.u32(0);
@@ -624,7 +624,7 @@ TEST(ResultCodecTest, RejectsHostileColumnBlocks) {
     expect_parse_error(std::move(w), "dictionary size");
   }
   {  // Dictionary string wider than the column.
-    WireWriter w = hostile_table(TypeKind::kVarchar, 2, 1);
+    ByteWriter w = hostile_table(TypeKind::kVarchar, 2, 1);
     w.u64(0x1ull);
     w.u32(0);
     w.u32(1);
@@ -632,7 +632,7 @@ TEST(ResultCodecTest, RejectsHostileColumnBlocks) {
     expect_parse_error(std::move(w), "exceeds");
   }
   {  // Dictionary count past the remaining bytes.
-    WireWriter w = hostile_table(TypeKind::kVarchar, 8, 1);
+    ByteWriter w = hostile_table(TypeKind::kVarchar, 8, 1);
     w.u64(0x1ull);
     w.u32(0);
     w.u32(1u << 30);
@@ -640,7 +640,7 @@ TEST(ResultCodecTest, RejectsHostileColumnBlocks) {
     expect_parse_error(std::move(w), "string dictionary");
   }
   {  // Dictionary string length past the remaining bytes.
-    WireWriter w = hostile_table(TypeKind::kVarchar, 8, 1);
+    ByteWriter w = hostile_table(TypeKind::kVarchar, 8, 1);
     w.u64(0x1ull);
     w.u32(0);
     w.u32(1);
@@ -648,13 +648,13 @@ TEST(ResultCodecTest, RejectsHostileColumnBlocks) {
     expect_parse_error(std::move(w), "dictionary string");
   }
   {  // Codes block shorter than the row count.
-    WireWriter w = hostile_table(TypeKind::kVarchar, 8, 4);
+    ByteWriter w = hostile_table(TypeKind::kVarchar, 8, 4);
     w.u64(0xfull);
     w.u32(0);
     expect_parse_error(std::move(w), "string codes");
   }
   {  // A well-formed frame built the same way decodes.
-    WireWriter w = hostile_table(TypeKind::kVarchar, 8, 2);
+    ByteWriter w = hostile_table(TypeKind::kVarchar, 8, 2);
     w.u64(0x1ull);
     w.u32(0);
     w.u32(7);  // NULL lane: ignored
@@ -783,7 +783,7 @@ TEST(StatsCodecTest, UnknownSampleNamesAreSkipped) {
   std::vector<std::uint8_t> bytes = stats_payload(snap);
   // A newer peer's extra samples: one of each kind, appended after the
   // known ones, with the leading sample count raised to match.
-  WireWriter extra;
+  ByteWriter extra;
   extra.str("future.counter");
   extra.u8(0);
   extra.u64(7);
@@ -832,19 +832,19 @@ void expect_rejected(const std::vector<std::uint8_t>& bytes,
 
 TEST(StatsCodecTest, RejectsHostileCountsAndIndexesBeforeAllocating) {
   {
-    WireWriter w;
+    ByteWriter w;
     w.u32(0xFFFFFFFFu);  // sample count
     expect_rejected(w.take(), "sample count");
   }
   {
-    WireWriter w;
+    ByteWriter w;
     w.u32(1);
     w.u32(0xFFFFFFF0u);  // name length
     w.u8(0);
     expect_rejected(w.take(), "name length");
   }
   {
-    WireWriter w;
+    ByteWriter w;
     w.u32(1);
     w.str("net.stats.execute_us");
     w.u8(2);
@@ -855,7 +855,7 @@ TEST(StatsCodecTest, RejectsHostileCountsAndIndexesBeforeAllocating) {
     expect_rejected(w.take(), "bucket count");
   }
   {
-    WireWriter w;
+    ByteWriter w;
     w.u32(2);
     w.str("cluster.num_ranks");
     w.u8(0);
@@ -866,7 +866,7 @@ TEST(StatsCodecTest, RejectsHostileCountsAndIndexesBeforeAllocating) {
     expect_rejected(w.take(), "rank index past the cap");
   }
   {
-    WireWriter w;
+    ByteWriter w;
     w.u32(2);
     w.str("cluster.num_ranks");
     w.u8(0);
@@ -877,7 +877,7 @@ TEST(StatsCodecTest, RejectsHostileCountsAndIndexesBeforeAllocating) {
     expect_rejected(w.take(), "rank index past num_ranks");
   }
   {
-    WireWriter w;
+    ByteWriter w;
     w.u32(1);
     w.str("epoch.live");
     w.u8(2);  // a histogram where a counter belongs
@@ -888,7 +888,7 @@ TEST(StatsCodecTest, RejectsHostileCountsAndIndexesBeforeAllocating) {
     expect_rejected(w.take(), "kind mismatch");
   }
   {
-    WireWriter w;
+    ByteWriter w;
     w.u32(1);
     w.str("epoch.live");
     w.u8(9);  // no such kind
@@ -1345,7 +1345,7 @@ TEST(NetTest, ClientRetriesInBandUnavailableOnce) {
     for (;;) {
       auto frame = recv_frame(*conn, kDefaultMaxFrameBytes);
       if (!frame.is_ok()) return;  // client disconnected
-      WireWriter w;
+      ByteWriter w;
       if (frame->header.verb == Verb::kHandshake) {
         encode_status(Status::ok(), w);
         HandshakeResponse hs;
@@ -1395,7 +1395,7 @@ TEST(NetTest, ClientDoesNotRetryTransportFailures) {
     ASSERT_TRUE(conn.is_ok()) << conn.status().to_string();
     auto hello = recv_frame(*conn, kDefaultMaxFrameBytes);
     ASSERT_TRUE(hello.is_ok());
-    WireWriter w;
+    ByteWriter w;
     encode_status(Status::ok(), w);
     HandshakeResponse hs;
     hs.session_id = 1;
