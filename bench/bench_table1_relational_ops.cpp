@@ -1,12 +1,15 @@
 // E-T1 / E-VEC — Table I: every relational operation GraQL supports, as a
 // conformance + throughput sweep over the generated Offers table
 // (select/projection, order by, group by, distinct, count, avg, min, max,
-// sum, top n, aliasing). Every op runs under both execution engines —
-// `/vec` (the vectorized batch kernels, the default) and `/row` (the
-// row-at-a-time oracle) — so BENCH_vectorized.json carries the speedup
-// of the vectorization refactor per operator (E-VEC measures
-// selection and group-by at >= 5x on the 20k scale).
+// sum, top n, aliasing), plus the end-to-end table_scan workload's
+// top n / min-max / grouped top n shapes. Every op runs under both
+// execution engines — `/vec` (the vectorized batch kernels, the default)
+// and `/row` (the row-at-a-time oracle) — so BENCH_vectorized.json
+// carries the speedup of the vectorization refactor per operator (E-VEC
+// measures selection and group-by at >= 5x on the 20k scale).
 #include "bench_common.hpp"
+
+#include <string_view>
 
 #include "relational/bound_expr.hpp"
 #include "relational/operators.hpp"
@@ -37,6 +40,17 @@ constexpr Op kOps[] = {
     {"full_pipeline",
      "select top 5 vendor, count(*) as n, avg(price) as mean from table "
      "Offers where deliveryDays <= 7 group by vendor order by mean desc"},
+    // The shapes of the end-to-end table_scan workload (e2ebench/):
+    // a two-key top n, four typed min/max, and a top n over ~20k groups.
+    {"top_n_e2e",
+     "select top 10 id, price from table Offers order by price, id"},
+    {"min_max_e2e",
+     "select min(price) as lo, max(price) as hi, min(validFrom) as first, "
+     "max(validTo) as last from table Offers"},
+    {"reviews_top",
+     "select top 10 reviewFor, avg(ratings_1) as score, count(*) as n "
+     "from table Reviews group by reviewFor order by score desc, "
+     "reviewFor"},
 };
 
 void BM_Table1_Op(benchmark::State& state) {
@@ -45,8 +59,12 @@ void BM_Table1_Op(benchmark::State& state) {
   server::Database& db = berlin_db(static_cast<std::size_t>(state.range(1)),
                                    /*seed=*/42, vectorized);
   const auto params = berlin_params();
-  const double input_rows =
-      static_cast<double>((*db.table("Offers"))->num_rows());
+  const std::string_view query = op.query;
+  const double input_rows = static_cast<double>(
+      (*db.table(query.find("table Reviews") != std::string_view::npos
+                     ? "Reviews"
+                     : "Offers"))
+          ->num_rows());
   std::size_t out_rows = 0;
   for (auto _ : state) {
     auto r = must_run(db, op.query, params);

@@ -604,13 +604,19 @@ Result<BspFrame> Coordinator::await_control(std::uint32_t timeout_ms) {
       return deadline_exceeded("timed out waiting for cluster ranks");
     }
   }
-  ControlEvent ev = std::move(control_.front());
-  control_.pop_front();
-  if (!ev.frame.has_value()) {
-    return unavailable("cluster rank " + std::to_string(ev.rank) +
+  // Move the frame out of the queued event, not the event's optional:
+  // gcc cannot see that a moved-from engaged optional stays engaged and
+  // reports -Wmaybe-uninitialized on the copy.
+  ControlEvent& front = control_.front();
+  if (!front.frame.has_value()) {
+    const std::uint32_t rank = front.rank;
+    control_.pop_front();
+    return unavailable("cluster rank " + std::to_string(rank) +
                        " disconnected");
   }
-  return std::move(*ev.frame);
+  BspFrame frame = std::move(*front.frame);
+  control_.pop_front();
+  return frame;
 }
 
 }  // namespace gems::cluster

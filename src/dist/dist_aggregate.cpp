@@ -40,6 +40,16 @@ struct GroupState {
   std::vector<Partial> partials;
 };
 
+/// min/max's `<`: native on doubles, as relational::aggregate's typed
+/// states use it (first seen wins among ±0.0 and against a NaN), not
+/// ORDER BY's total order.
+bool value_less(const Value& a, const Value& b) {
+  if (a.kind() == TypeKind::kDouble && b.kind() == TypeKind::kDouble) {
+    return a.as_double() < b.as_double();
+  }
+  return a.compare(b) < 0;
+}
+
 void accumulate(const Table& src, RowIndex row,
                 std::span<const AggSpec> aggs, GroupState& state) {
   for (std::size_t a = 0; a < aggs.size(); ++a) {
@@ -73,8 +83,8 @@ void accumulate(const Table& src, RowIndex row,
           p.max = v;
           p.has_value = true;
         } else {
-          if (v.compare(p.min) < 0) p.min = v;
-          if (v.compare(p.max) > 0) p.max = v;
+          if (value_less(v, p.min)) p.min = v;
+          if (value_less(p.max, v)) p.max = v;
         }
         break;
       }
@@ -94,8 +104,8 @@ void merge(Partial& into, const Partial& from) {
       into.max = from.max;
       into.has_value = true;
     } else {
-      if (from.min.compare(into.min) < 0) into.min = from.min;
-      if (from.max.compare(into.max) > 0) into.max = from.max;
+      if (value_less(from.min, into.min)) into.min = from.min;
+      if (value_less(into.max, from.max)) into.max = from.max;
     }
   }
 }

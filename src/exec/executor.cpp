@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <chrono>
+#include <limits>
+#include <numeric>
+#include <optional>
 #include "graph/delta.hpp"
 
 #include "common/check.hpp"
@@ -557,21 +560,261 @@ std::string default_item_name(const graql::SelectItem& item,
 
 namespace {
 
+constexpr std::size_t kNoLimit = std::numeric_limits<std::size_t>::max();
+
+/// The source column an output reads unchanged, if it is a plain column
+/// reference (its cells are then the source's cells at the selection).
+std::optional<ColumnIndex> plain_column(const relational::BoundExpr& e) {
+  if (e.kind != relational::BoundExpr::Kind::kColumnRef) return std::nullopt;
+  return e.slot.column;
+}
+
+/// `order by` (keys over `out`'s columns) and `top n` over a result the
+/// pipeline had to build whole — a distinct or grouped result, or a
+/// projection ordered by a computed column. Only surviving rows are
+/// copied.
+TablePtr order_and_cut(TablePtr out, std::span<const SortKey> keys,
+                       std::size_t top_n, const std::string& name,
+                       const relational::BatchPolicy& policy) {
+  if (keys.empty()) {
+    return top_n > 0 ? relational::head(*out, top_n, name) : out;
+  }
+  std::vector<RowIndex> all(out->num_rows());
+  std::iota(all.begin(), all.end(), RowIndex{0});
+  std::vector<ColumnIndex> cols(out->num_columns());
+  std::iota(cols.begin(), cols.end(), ColumnIndex{0});
+  const auto order = relational::sort_rows(*out, all, keys,
+                                           top_n > 0 ? top_n : kNoLimit,
+                                           policy);
+  return relational::materialize(*out, order, cols, name);
+}
+
+/// Selection/projection: `select [distinct] [top n] items ... [order by]`.
+Result<TablePtr> select_rows(const TableQueryStmt& stmt, const Table& source,
+                             std::vector<RowIndex> rows,
+                             const ExecContext& ctx,
+                             const std::string& out_name) {
+  StringPool& pool = *ctx.pool;
+  const relational::BatchPolicy& policy = ctx.batch_policy;
+  relational::TableScope scope(source);
+
+  // Expand `*` to all source columns.
+  std::vector<OutputColumn> outputs;
+  graql::OutputNamer namer;
+  std::size_t anon = 0;
+  for (const auto& item : stmt.items) {
+    if (item.star) {
+      for (ColumnIndex c = 0; c < source.num_columns(); ++c) {
+        OutputColumn oc;
+        oc.name = namer.assign(source.schema().column(c).name, "");
+        GEMS_ASSIGN_OR_RETURN(
+            oc.expr, relational::bind_expr(
+                         relational::Expr::make_column(
+                             "", source.schema().column(c).name),
+                         scope, ctx.params, pool));
+        outputs.push_back(std::move(oc));
+      }
+      continue;
+    }
+    OutputColumn oc;
+    const std::string base =
+        item.alias.empty() ? default_item_name(item, &anon) : item.alias;
+    oc.name = namer.assign(base, "");
+    GEMS_ASSIGN_OR_RETURN(
+        oc.expr, relational::bind_expr(item.expr, scope, ctx.params, pool));
+    outputs.push_back(std::move(oc));
+  }
+
+  // ORDER BY: by output columns when possible, else by source columns
+  // before projection.
+  auto output_of = [&](const std::string& column) {
+    return std::find_if(outputs.begin(), outputs.end(),
+                        [&](const auto& o) { return o.name == column; });
+  };
+  bool order_on_output = !stmt.order_by.empty();
+  bool order_on_source = !stmt.order_by.empty();
+  for (const auto& ord : stmt.order_by) {
+    if (output_of(ord.column) == outputs.end()) order_on_output = false;
+    if (!source.schema().find(ord.column)) order_on_source = false;
+  }
+  if (!stmt.order_by.empty() && !order_on_output && !order_on_source) {
+    return not_found("order by columns must all be output columns or all "
+                     "be source columns");
+  }
+  // The order keys as source columns: an output key qualifies when it
+  // reads a source column unchanged.
+  std::vector<SortKey> source_keys;
+  std::vector<SortKey> output_keys;
+  for (const auto& ord : stmt.order_by) {
+    if (!order_on_output) {
+      source_keys.push_back(
+          {*source.schema().find(ord.column), ord.descending});
+      continue;
+    }
+    const auto out = output_of(ord.column);
+    output_keys.push_back({static_cast<ColumnIndex>(out - outputs.begin()),
+                           ord.descending});
+    if (auto c = plain_column(*out->expr)) {
+      source_keys.push_back({*c, ord.descending});
+    }
+  }
+
+  if (!stmt.distinct && source_keys.size() == stmt.order_by.size()) {
+    // Order and cut the selection itself, then project only the rows
+    // that survive: a `top n` projects n rows, not the whole selection.
+    if (!source_keys.empty()) {
+      rows = relational::sort_rows(source, rows, source_keys,
+                                   stmt.top_n > 0 ? stmt.top_n : kNoLimit,
+                                   policy);
+    } else if (stmt.top_n > 0 && rows.size() > stmt.top_n) {
+      rows.resize(stmt.top_n);
+    }
+    return relational::project(source, rows, outputs, out_name, policy);
+  }
+
+  // `distinct` dedups whole output rows and a computed order key exists
+  // only once projected: project every selected row (in source-key order
+  // when ordering by source columns), then order and cut the result.
+  if (!order_on_output && !source_keys.empty()) {
+    rows = relational::sort_rows(source, rows, source_keys, kNoLimit, policy);
+  }
+  TablePtr out =
+      relational::project(source, rows, outputs, out_name, policy);
+  if (stmt.distinct) out = relational::distinct(*out, out_name, policy);
+  return order_and_cut(std::move(out), output_keys, stmt.top_n, out_name,
+                       policy);
+}
+
+/// Aggregation: group keys and aggregate inputs feed one grouping sink,
+/// which emits the outputs in item order.
+Result<TablePtr> aggregate_rows(const TableQueryStmt& stmt,
+                                const Table& source,
+                                const std::vector<RowIndex>& rows,
+                                const ExecContext& ctx,
+                                const std::string& out_name) {
+  StringPool& pool = *ctx.pool;
+  const relational::BatchPolicy& policy = ctx.batch_policy;
+  relational::TableScope scope(source);
+
+  // Group keys first, then aggregate inputs; AggSpec::input indexes this
+  // list.
+  std::vector<OutputColumn> inputs;
+  for (std::size_t k = 0; k < stmt.group_by.size(); ++k) {
+    OutputColumn oc;
+    oc.name = "g" + std::to_string(k);
+    GEMS_ASSIGN_OR_RETURN(
+        oc.expr,
+        relational::bind_expr(
+            relational::Expr::make_column("", stmt.group_by[k]), scope,
+            ctx.params, pool));
+    inputs.push_back(std::move(oc));
+  }
+  std::vector<AggSpec> aggs;
+  std::vector<relational::GroupOutput> outputs;
+  graql::OutputNamer namer;
+  std::size_t anon = 0;
+  for (std::size_t i = 0; i < stmt.items.size(); ++i) {
+    const auto& item = stmt.items[i];
+    auto output_name = [&] {
+      return namer.assign(
+          item.alias.empty() ? default_item_name(item, &anon) : item.alias,
+          "");
+    };
+    if (item.agg == AggFunc::kNone) {
+      if (item.star) {
+        return type_error("'*' cannot be combined with aggregation");
+      }
+      auto key_it = stmt.group_by.end();
+      if (item.expr->kind == relational::Expr::Kind::kColumnRef) {
+        key_it = std::find(stmt.group_by.begin(), stmt.group_by.end(),
+                           item.expr->column);
+      }
+      if (key_it == stmt.group_by.end()) {
+        return type_error("select item '" + item.expr->to_string() +
+                          "' must be aggregated or listed in group by");
+      }
+      outputs.push_back(
+          {relational::GroupOutput::kKey,
+           static_cast<std::size_t>(key_it - stmt.group_by.begin()),
+           output_name()});
+      continue;
+    }
+    AggSpec spec;
+    GEMS_ASSIGN_OR_RETURN(spec.kind, to_agg_kind(item.agg));
+    spec.output_name = "a" + std::to_string(i);
+    if (item.agg != AggFunc::kCountStar) {
+      OutputColumn oc;
+      oc.name = "in" + std::to_string(i);
+      GEMS_ASSIGN_OR_RETURN(
+          oc.expr, relational::bind_expr(item.expr, scope, ctx.params, pool));
+      spec.input = static_cast<ColumnIndex>(inputs.size());
+      inputs.push_back(std::move(oc));
+    }
+    outputs.push_back(
+        {relational::GroupOutput::kAgg, aggs.size(), output_name()});
+    aggs.push_back(std::move(spec));
+  }
+
+  std::vector<ColumnIndex> keys(stmt.group_by.size());
+  TablePtr out;
+  if (std::all_of(inputs.begin(), inputs.end(), [](const auto& in) {
+        return plain_column(*in.expr).has_value();
+      })) {
+    // Plain column inputs are read straight from the source through the
+    // selection vector: no input copy.
+    for (std::size_t k = 0; k < keys.size(); ++k) {
+      keys[k] = *plain_column(*inputs[k].expr);
+    }
+    for (auto& spec : aggs) {
+      if (spec.kind != AggKind::kCountStar) {
+        spec.input = *plain_column(*inputs[spec.input].expr);
+      }
+    }
+    GEMS_ASSIGN_OR_RETURN(out, relational::aggregate(source, rows, keys, aggs,
+                                                     outputs, out_name,
+                                                     policy));
+  } else {
+    // A computed input is evaluated once per selected row into `$pre`.
+    TablePtr pre =
+        relational::project(source, rows, inputs, "$pre", policy);
+    std::iota(keys.begin(), keys.end(), ColumnIndex{0});
+    std::vector<RowIndex> all(pre->num_rows());
+    std::iota(all.begin(), all.end(), RowIndex{0});
+    GEMS_ASSIGN_OR_RETURN(out, relational::aggregate(*pre, all, keys, aggs,
+                                                     outputs, out_name,
+                                                     policy));
+  }
+  if (stmt.distinct) out = relational::distinct(*out, out_name, policy);
+
+  std::vector<SortKey> sort_keys;
+  for (const auto& ord : stmt.order_by) {
+    auto idx = out->schema().find(ord.column);
+    if (!idx) {
+      return not_found("order by column '" + ord.column +
+                       "' is not an output column");
+    }
+    sort_keys.push_back({*idx, ord.descending});
+  }
+  return order_and_cut(std::move(out), sort_keys, stmt.top_n, out_name,
+                       policy);
+}
+
 /// Body of execute_table_query (see graph_query_core: no catalog
-/// registration).
+/// registration). One pipeline per statement: the WHERE selection vector
+/// feeds either the projection or the grouping sink, and `order by` /
+/// `top n` run on typed sort keys before anything else is copied.
 Result<StatementResult> table_query_core(const TableQueryStmt& stmt,
                                          const ExecContext& ctx) {
   GEMS_ASSIGN_OR_RETURN(TablePtr source, ctx.tables.find(stmt.from_table));
-  StringPool& pool = *ctx.pool;
-  relational::TableScope scope(*source);
 
   // WHERE. Large tables scan in parallel over the intra-node pool (the
   // shared-memory half of the paper's "massively parallel execution").
   std::vector<RowIndex> rows;
   if (stmt.where) {
+    relational::TableScope scope(*source);
     GEMS_ASSIGN_OR_RETURN(
         BoundExprPtr pred,
-        relational::bind_predicate(stmt.where, scope, ctx.params, pool));
+        relational::bind_predicate(stmt.where, scope, ctx.params, *ctx.pool));
     if (ctx.intra_pool != nullptr &&
         source->num_rows() >= ExecContext::kParallelScanThreshold) {
       rows = relational::filter_rows_parallel(*source, *pred,
@@ -582,195 +825,19 @@ Result<StatementResult> table_query_core(const TableQueryStmt& stmt,
     }
   } else {
     rows.resize(source->num_rows());
-    for (std::size_t r = 0; r < rows.size(); ++r) {
-      rows[r] = static_cast<RowIndex>(r);
-    }
+    std::iota(rows.begin(), rows.end(), RowIndex{0});
   }
 
-  const bool has_agg =
+  const bool grouped =
+      !stmt.group_by.empty() ||
       std::any_of(stmt.items.begin(), stmt.items.end(),
                   [](const auto& i) { return i.agg != AggFunc::kNone; });
-  const bool grouped = has_agg || !stmt.group_by.empty();
   const std::string out_name =
       stmt.into == IntoKind::kTable ? stmt.into_name : "result";
-
-  TablePtr out;
-  if (!grouped) {
-    // Plain selection/projection. Expand `*` to all source columns.
-    std::vector<OutputColumn> outputs;
-    graql::OutputNamer namer;
-    std::size_t anon = 0;
-    for (const auto& item : stmt.items) {
-      if (item.star) {
-        for (ColumnIndex c = 0; c < source->num_columns(); ++c) {
-          OutputColumn oc;
-          oc.name = namer.assign(source->schema().column(c).name, "");
-          GEMS_ASSIGN_OR_RETURN(
-              oc.expr, relational::bind_expr(
-                           relational::Expr::make_column(
-                               "", source->schema().column(c).name),
-                           scope, ctx.params, pool));
-          outputs.push_back(std::move(oc));
-        }
-        continue;
-      }
-      OutputColumn oc;
-      const std::string base =
-          item.alias.empty() ? default_item_name(item, &anon) : item.alias;
-      oc.name = namer.assign(base, "");
-      GEMS_ASSIGN_OR_RETURN(
-          oc.expr, relational::bind_expr(item.expr, scope, ctx.params, pool));
-      outputs.push_back(std::move(oc));
-    }
-
-    // ORDER BY: by output columns when possible, else by source columns
-    // before projection.
-    std::vector<std::string> out_names;
-    for (const auto& o : outputs) out_names.push_back(o.name);
-    bool order_on_output = !stmt.order_by.empty();
-    bool order_on_source = !stmt.order_by.empty();
-    for (const auto& ord : stmt.order_by) {
-      if (std::find(out_names.begin(), out_names.end(), ord.column) ==
-          out_names.end()) {
-        order_on_output = false;
-      }
-      if (!source->schema().find(ord.column)) order_on_source = false;
-    }
-    if (!stmt.order_by.empty() && !order_on_output && !order_on_source) {
-      return not_found("order by columns must all be output columns or all "
-                       "be source columns");
-    }
-    if (!stmt.order_by.empty() && !order_on_output) {
-      std::vector<SortKey> keys;
-      for (const auto& ord : stmt.order_by) {
-        keys.push_back({*source->schema().find(ord.column), ord.descending});
-      }
-      std::stable_sort(rows.begin(), rows.end(),
-                       [&](RowIndex a, RowIndex b) {
-                         for (const auto& k : keys) {
-                           const int c = relational::compare_table_cells(
-                               *source, a, b, k.column);
-                           if (c != 0) return k.descending ? c > 0 : c < 0;
-                         }
-                         return false;
-                       });
-    }
-
-    out = relational::project(*source, rows, outputs, out_name,
-                              ctx.batch_policy);
-    if (stmt.distinct) {
-      out = relational::distinct(*out, out_name, ctx.batch_policy);
-    }
-    if (!stmt.order_by.empty() && order_on_output) {
-      std::vector<SortKey> keys;
-      for (const auto& ord : stmt.order_by) {
-        keys.push_back({*out->schema().find(ord.column), ord.descending});
-      }
-      out = relational::order_by(*out, keys, out_name);
-    }
-    if (stmt.top_n > 0) out = relational::head(*out, stmt.top_n, out_name);
-  } else {
-    // Aggregation pipeline: pre-project group keys + aggregate inputs,
-    // group, then arrange outputs in item order.
-    std::vector<OutputColumn> pre_outputs;
-    // Group keys first (named g<i>).
-    for (std::size_t k = 0; k < stmt.group_by.size(); ++k) {
-      OutputColumn oc;
-      oc.name = "g" + std::to_string(k);
-      GEMS_ASSIGN_OR_RETURN(
-          oc.expr,
-          relational::bind_expr(
-              relational::Expr::make_column("", stmt.group_by[k]), scope,
-              ctx.params, pool));
-      pre_outputs.push_back(std::move(oc));
-    }
-    // Aggregate inputs (named a<i> aligned with item order).
-    std::vector<AggSpec> aggs;
-    for (std::size_t i = 0; i < stmt.items.size(); ++i) {
-      const auto& item = stmt.items[i];
-      if (item.agg == AggFunc::kNone) {
-        if (item.star) {
-          return type_error("'*' cannot be combined with aggregation");
-        }
-        if (item.expr->kind != relational::Expr::Kind::kColumnRef ||
-            std::find(stmt.group_by.begin(), stmt.group_by.end(),
-                      item.expr->column) == stmt.group_by.end()) {
-          return type_error("select item '" + item.expr->to_string() +
-                            "' must be aggregated or listed in group by");
-        }
-        continue;
-      }
-      AggSpec spec;
-      GEMS_ASSIGN_OR_RETURN(spec.kind, to_agg_kind(item.agg));
-      spec.output_name = "a" + std::to_string(i);
-      if (item.agg != AggFunc::kCountStar) {
-        OutputColumn oc;
-        oc.name = "in" + std::to_string(i);
-        GEMS_ASSIGN_OR_RETURN(
-            oc.expr,
-            relational::bind_expr(item.expr, scope, ctx.params, pool));
-        spec.input = static_cast<ColumnIndex>(pre_outputs.size());
-        pre_outputs.push_back(std::move(oc));
-      }
-      aggs.push_back(std::move(spec));
-    }
-
-    TablePtr pre = relational::project(*source, rows, pre_outputs, "$pre",
-                                       ctx.batch_policy);
-    std::vector<ColumnIndex> keys(stmt.group_by.size());
-    for (std::size_t k = 0; k < keys.size(); ++k) {
-      keys[k] = static_cast<ColumnIndex>(k);
-    }
-    GEMS_ASSIGN_OR_RETURN(
-        TablePtr grouped_table,
-        relational::group_by(*pre, keys, aggs, "$grouped", ctx.batch_policy));
-
-    // Final projection into item order with user-facing names.
-    std::vector<ColumnIndex> out_cols;
-    std::vector<std::string> names;
-    graql::OutputNamer namer;
-    std::size_t anon = 0;
-    std::size_t agg_pos = 0;
-    for (std::size_t i = 0; i < stmt.items.size(); ++i) {
-      const auto& item = stmt.items[i];
-      const std::string base =
-          item.alias.empty() ? default_item_name(item, &anon) : item.alias;
-      names.push_back(namer.assign(base, ""));
-      if (item.agg == AggFunc::kNone) {
-        // Key column: position in group_by.
-        const auto key_it = std::find(stmt.group_by.begin(),
-                                      stmt.group_by.end(), item.expr->column);
-        out_cols.push_back(static_cast<ColumnIndex>(
-            key_it - stmt.group_by.begin()));
-      } else {
-        out_cols.push_back(
-            static_cast<ColumnIndex>(stmt.group_by.size() + agg_pos));
-        ++agg_pos;
-      }
-    }
-    std::vector<RowIndex> all(grouped_table->num_rows());
-    for (std::size_t r = 0; r < all.size(); ++r) {
-      all[r] = static_cast<RowIndex>(r);
-    }
-    out = relational::materialize(*grouped_table, all, out_cols, out_name,
-                                  &names);
-    if (stmt.distinct) {
-      out = relational::distinct(*out, out_name, ctx.batch_policy);
-    }
-    if (!stmt.order_by.empty()) {
-      std::vector<SortKey> sort_keys;
-      for (const auto& ord : stmt.order_by) {
-        auto idx = out->schema().find(ord.column);
-        if (!idx) {
-          return not_found("order by column '" + ord.column +
-                           "' is not an output column");
-        }
-        sort_keys.push_back({*idx, ord.descending});
-      }
-      out = relational::order_by(*out, sort_keys, out_name);
-    }
-    if (stmt.top_n > 0) out = relational::head(*out, stmt.top_n, out_name);
-  }
+  GEMS_ASSIGN_OR_RETURN(
+      TablePtr out,
+      grouped ? aggregate_rows(stmt, *source, rows, ctx, out_name)
+              : select_rows(stmt, *source, std::move(rows), ctx, out_name));
 
   StatementResult result;
   result.kind = StatementResult::Kind::kTable;

@@ -41,8 +41,8 @@ std::string_view severity_name(Severity severity) noexcept {
 
 std::string diag_code_name(DiagCode code) {
   const auto value = static_cast<std::uint16_t>(code);
-  char buf[8];
-  std::snprintf(buf, sizeof(buf), "GQL%04u", value);
+  char buf[16];  // "GQL" + up to 5 digits of a u16 + NUL
+  std::snprintf(buf, sizeof(buf), "GQL%04u", static_cast<unsigned>(value));
   return buf;
 }
 
@@ -187,6 +187,11 @@ Result<std::vector<Diagnostic>> decode_diagnostics(
     }
     d.severity = static_cast<Severity>(sev);
     GEMS_ASSIGN_OR_RETURN(std::uint16_t code, r.u16("diagnostic code"));
+    if (code > kMaxDiagCode) {
+      return r.error("diagnostic code " + std::to_string(code) +
+                         " outside GQL0000-GQL9999",
+                     r.position() - 2);
+    }
     d.code = static_cast<DiagCode>(code);
     GEMS_ASSIGN_OR_RETURN(std::uint8_t status_code, r.u8("status code"));
     d.status_code = static_cast<StatusCode>(status_code);

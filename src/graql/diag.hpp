@@ -94,7 +94,12 @@ enum class DiagCode : std::uint16_t {
   kOverwrittenResult = 81,  // GQL0081 result rewritten before any read
 };
 
-/// "GQL0042"-style rendering of a code.
+/// Codes are four decimal digits; decode_diagnostics rejects larger ones
+/// from a peer.
+inline constexpr std::uint16_t kMaxDiagCode = 9999;
+
+/// "GQL0042"-style rendering of a code (a code past kMaxDiagCode renders
+/// all of its digits).
 std::string diag_code_name(DiagCode code);
 
 struct Diagnostic {

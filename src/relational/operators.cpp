@@ -1,8 +1,10 @@
 #include "relational/operators.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <limits>
 #include <memory>
+#include <numeric>
 #include <unordered_map>
 
 #include "common/check.hpp"
@@ -17,7 +19,6 @@ using storage::ColumnDef;
 using storage::DataType;
 using storage::Schema;
 using storage::TypeKind;
-using storage::Value;
 
 namespace {
 
@@ -499,13 +500,11 @@ std::string_view agg_kind_name(AggKind kind) noexcept {
 
 namespace {
 
-// Per-group accumulator state, split by aggregate kind so each
-// aggregate's array holds only what it reads. Accumulation does one
-// random `state[group_of_row[r]]` access per row; with many groups the
-// array's footprint decides whether that access hits cache (a boxed
-// any-aggregate state with two 48-byte Values is 128 bytes per group —
-// 5x the footprint of SumState, all of it dragged through cache even
-// for a count(*)).
+// Per-group accumulator state, split by aggregate kind and input type so
+// each aggregate's array holds only what it reads. Accumulation does one
+// random `state[group]` access per row; with many groups the array's
+// footprint decides whether that access hits cache, so every state is a
+// flat typed struct (min/max included: 16 bytes, not two boxed Values).
 struct SumState {
   std::int64_t count = 0;
   std::int64_t isum = 0;
@@ -518,10 +517,23 @@ struct DoubleSumState {
   std::int64_t count = 0;
   double dsum = 0;
 };
-struct MinMaxState {
+/// min or max so far, in the input column's own representation: int64
+/// for bool/int64/date, double, or an interned StringId.
+template <typename T>
+struct ExtremeState {
+  T value{};
   bool has_value = false;
-  Value min;
-  Value max;
+};
+
+/// One aggregate's per-group states; only the array its kind and input
+/// type use is sized.
+struct AggStates {
+  std::vector<std::int64_t> counts;
+  std::vector<SumState> sums;
+  std::vector<DoubleSumState> dsums;
+  std::vector<ExtremeState<std::int64_t>> ints;
+  std::vector<ExtremeState<double>> doubles;
+  std::vector<ExtremeState<StringId>> strings;
 };
 
 Result<DataType> agg_output_type(const AggSpec& spec, const Table& src) {
@@ -552,43 +564,43 @@ Result<DataType> agg_output_type(const AggSpec& spec, const Table& src) {
   GEMS_UNREACHABLE("bad agg kind");
 }
 
-/// Assigns every row its group id (first-seen order) via encoded string
-/// keys — the row-engine oracle path.
-void assign_groups_rowkey(const Table& src, std::span<const ColumnIndex> keys,
-                          std::uint32_t* group_of_row,
+/// Assigns every selected row its group id (first-seen order) via encoded
+/// string keys — the row-engine oracle path. group_of[i] is rows[i]'s
+/// group; representatives collects each group's first source row.
+void assign_groups_rowkey(const Table& src, std::span<const RowIndex> rows,
+                          std::span<const ColumnIndex> keys,
+                          std::uint32_t* group_of,
                           std::vector<RowIndex>& representatives) {
   std::unordered_map<std::string, std::uint32_t, RowKeyHash, std::equal_to<>>
       group_index;
-  for (std::size_t r = 0; r < src.num_rows(); ++r) {
-    const RowIndex row = static_cast<RowIndex>(r);
+  for (std::size_t i = 0; i < rows.size(); ++i) {
     const auto [it, inserted] = group_index.emplace(
-        encode_row_key(src, row, keys),
+        encode_row_key(src, rows[i], keys),
         static_cast<std::uint32_t>(representatives.size()));
-    if (inserted) representatives.push_back(row);
-    group_of_row[r] = it->second;
+    if (inserted) representatives.push_back(rows[i]);
+    group_of[i] = it->second;
   }
 }
 
-/// Same group assignment through batched 64-bit key hashing and hash →
-/// group chains; exact key equality is verified against each candidate
-/// group's representative, so hash collisions cannot merge groups. Group
-/// ids come out in first-seen row order, identical to the rowkey path.
-/// First-seen dedup over `keys`, shared by group-by and distinct:
-/// `firsts` collects the first row of each distinct key (in row order)
-/// and, when non-null, entry_of_row[r] receives row r's entry id.
+/// First-seen dedup over `keys` of the rows rows[0..n) (the contiguous
+/// rows [0, n) when rows == nullptr), shared by group-by and distinct:
+/// `firsts` collects the first source row of each distinct key (in
+/// selection order) and, when non-null, entry_of[i] receives the i-th
+/// selected row's entry id. Entry ids come out in first-seen order,
+/// identical to the rowkey path.
 ///
 /// Keys are compared as normalized cells (key_cells_batch): the batch's
-/// own cells come from sequential column sweeps, each entry keeps one
-/// compact copy, and hashes derive from the cells — so after the single
+/// own cells come from one column sweep, each entry keeps one compact
+/// copy, and hashes derive from the cells — so after the single
 /// per-batch column sweep, probing never touches the source columns
 /// again (a row_keys_equal re-read of the first-seen row costs a cache
 /// miss per input row at high key cardinality). Tables are sized to the
 /// number of DISTINCT keys (grown on demand), not input rows, keeping
 /// the slot array cache-resident for the common aggregation shapes.
-void dedup_rows_hashed(const Table& src, std::span<const ColumnIndex> keys,
-                       std::size_t batch_rows, std::uint32_t* entry_of_row,
+void dedup_rows_hashed(const Table& src, const RowIndex* rows, std::size_t n,
+                       std::span<const ColumnIndex> keys,
+                       std::size_t batch_rows, std::uint32_t* entry_of,
                        std::vector<RowIndex>& firsts) {
-  const std::size_t n = src.num_rows();
   const std::size_t nc = keys.size();
   std::vector<std::uint64_t> hashes(batch_rows);
   std::vector<std::uint64_t> cell_bits(batch_rows * nc);
@@ -596,6 +608,15 @@ void dedup_rows_hashed(const Table& src, std::span<const ColumnIndex> keys,
   std::vector<std::uint64_t> entry_hash;  // per entry, for rebuilds
   std::vector<std::uint64_t> entry_bits;  // num_entries x nc, row-major
   std::vector<std::uint8_t> entry_null;
+  auto row_at = [rows](std::size_t i) {
+    return rows != nullptr ? rows[i] : static_cast<RowIndex>(i);
+  };
+  auto cells = [&](std::size_t base, std::size_t bn, std::size_t c) {
+    key_cells_batch(src, static_cast<RowIndex>(base),
+                    rows != nullptr ? rows + base : nullptr, bn, keys[c],
+                    cell_bits.data() + c * batch_rows,
+                    cell_null.data() + c * batch_rows);
+  };
 
   if (nc == 1) {
     // Single key column: the cell fits in the map slot itself, so a
@@ -603,8 +624,7 @@ void dedup_rows_hashed(const Table& src, std::span<const ColumnIndex> keys,
     KeyCellMap map(/*expected=*/128);
     for (std::size_t base = 0; base < n; base += batch_rows) {
       const std::size_t bn = std::min(batch_rows, n - base);
-      key_cells_batch(src, static_cast<RowIndex>(base), bn, keys[0],
-                      cell_bits.data(), cell_null.data());
+      cells(base, bn, 0);
       hash_key_cells(cell_bits.data(), cell_null.data(), bn, 1, batch_rows,
                      hashes.data());
       // Conservative pre-batch growth check (every row could be new),
@@ -619,13 +639,13 @@ void dedup_rows_hashed(const Table& src, std::span<const ColumnIndex> keys,
         std::uint32_t e = s.entry;
         if (e == kChainEnd) {
           e = static_cast<std::uint32_t>(firsts.size());
-          firsts.push_back(static_cast<RowIndex>(base + i));
+          firsts.push_back(row_at(base + i));
           entry_hash.push_back(hashes[i]);
           entry_bits.push_back(cell_bits[i]);
           entry_null.push_back(cell_null[i]);
           s = KeyCellMap::Slot{cell_bits[i], e, cell_null[i]};
         }
-        if (entry_of_row != nullptr) entry_of_row[base + i] = e;
+        if (entry_of != nullptr) entry_of[base + i] = e;
       }
     }
     return;
@@ -638,11 +658,7 @@ void dedup_rows_hashed(const Table& src, std::span<const ColumnIndex> keys,
   std::vector<std::uint32_t> next_entry;
   for (std::size_t base = 0; base < n; base += batch_rows) {
     const std::size_t bn = std::min(batch_rows, n - base);
-    for (std::size_t c = 0; c < nc; ++c) {
-      key_cells_batch(src, static_cast<RowIndex>(base), bn, keys[c],
-                      cell_bits.data() + c * batch_rows,
-                      cell_null.data() + c * batch_rows);
-    }
+    for (std::size_t c = 0; c < nc; ++c) cells(base, bn, c);
     hash_key_cells(cell_bits.data(), cell_null.data(), bn, nc, batch_rows,
                    hashes.data());
     if (heads.needs_capacity(firsts.size() + bn)) {
@@ -665,7 +681,7 @@ void dedup_rows_hashed(const Table& src, std::span<const ColumnIndex> keys,
       }
       if (e == kChainEnd) {
         e = static_cast<std::uint32_t>(firsts.size());
-        firsts.push_back(static_cast<RowIndex>(base + i));
+        firsts.push_back(row_at(base + i));
         next_entry.push_back(head);
         entry_hash.push_back(hashes[i]);
         for (std::size_t c = 0; c < nc; ++c) {
@@ -674,231 +690,291 @@ void dedup_rows_hashed(const Table& src, std::span<const ColumnIndex> keys,
         }
         head = e;
       }
-      if (entry_of_row != nullptr) entry_of_row[base + i] = e;
+      if (entry_of != nullptr) entry_of[base + i] = e;
     }
   }
 }
 
-void assign_groups_hashed(const Table& src, std::span<const ColumnIndex> keys,
-                          std::size_t batch_rows,
-                          std::uint32_t* group_of_row,
-                          std::vector<RowIndex>& representatives) {
-  dedup_rows_hashed(src, keys, batch_rows, group_of_row, representatives);
+/// min (better = std::less) or max (std::greater) of one column per
+/// group. The native comparison keeps the first-seen value among equals,
+/// and a NaN neither replaces nor is replaced once seen first.
+template <typename T, typename GroupOf, typename Better>
+void accumulate_extreme(const Column& col, std::span<const RowIndex> rows,
+                        std::span<const T> vals, GroupOf group_of,
+                        std::size_t num_groups, Better better,
+                        std::vector<ExtremeState<T>>& st) {
+  st.assign(num_groups, {});
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const RowIndex row = rows[i];
+    if (col.is_null(row)) continue;
+    ExtremeState<T>& s = st[group_of(i)];
+    const T v = vals[row];
+    if (!s.has_value || better(v, s.value)) {
+      s.value = v;
+      s.has_value = true;
+    }
+  }
+}
+
+template <typename GroupOf, typename Better>
+void accumulate_minmax(const Table& src, const Column& col,
+                       std::span<const RowIndex> rows, GroupOf group_of,
+                       std::size_t num_groups, Better better,
+                       AggStates& st) {
+  switch (col.type().kind) {
+    case TypeKind::kDouble:
+      accumulate_extreme(col, rows, col.double_span(), group_of, num_groups,
+                         better, st.doubles);
+      return;
+    case TypeKind::kVarchar: {
+      const StringPool& pool = src.pool();
+      accumulate_extreme(
+          col, rows, col.string_span(), group_of, num_groups,
+          [&](StringId a, StringId b) {
+            return a != b && better(pool.view(a), pool.view(b));
+          },
+          st.strings);
+      return;
+    }
+    case TypeKind::kBool:
+    case TypeKind::kInt64:
+    case TypeKind::kDate:
+      accumulate_extreme(col, rows, col.int_span(), group_of, num_groups,
+                         better, st.ints);
+      return;
+  }
+}
+
+/// Folds the selected rows into one aggregate's states; group_of(i) is
+/// the i-th selected row's group. Rows are visited in selection order, so
+/// floating-point sums add in the row engine's order on every path.
+template <typename GroupOf>
+void accumulate(const Table& src, std::span<const RowIndex> rows,
+                const AggSpec& spec, GroupOf group_of, std::size_t num_groups,
+                AggStates& st) {
+  if (spec.kind == AggKind::kCountStar) {
+    st.counts.assign(num_groups, 0);
+    for (std::size_t i = 0; i < rows.size(); ++i) ++st.counts[group_of(i)];
+    return;
+  }
+  const Column& col = src.column(spec.input);
+  switch (spec.kind) {
+    case AggKind::kCount:
+      st.counts.assign(num_groups, 0);
+      for (std::size_t i = 0; i < rows.size(); ++i) {
+        if (!col.is_null(rows[i])) ++st.counts[group_of(i)];
+      }
+      return;
+    case AggKind::kSum:
+    case AggKind::kAvg:
+      if (col.type().kind == TypeKind::kDouble) {
+        st.dsums.assign(num_groups, {});
+        const std::span<const double> vals = col.double_span();
+        for (std::size_t i = 0; i < rows.size(); ++i) {
+          const RowIndex row = rows[i];
+          if (col.is_null(row)) continue;
+          DoubleSumState& s = st.dsums[group_of(i)];
+          ++s.count;
+          s.dsum += vals[row];
+        }
+      } else {
+        st.sums.assign(num_groups, {});
+        const std::span<const std::int64_t> vals = col.int_span();
+        for (std::size_t i = 0; i < rows.size(); ++i) {
+          const RowIndex row = rows[i];
+          if (col.is_null(row)) continue;
+          SumState& s = st.sums[group_of(i)];
+          ++s.count;
+          s.isum += vals[row];
+          s.dsum += static_cast<double>(vals[row]);
+        }
+      }
+      return;
+    case AggKind::kMin:
+      accumulate_minmax(src, col, rows, group_of, num_groups, std::less<>{},
+                        st);
+      return;
+    case AggKind::kMax:
+      accumulate_minmax(src, col, rows, group_of, num_groups,
+                        std::greater<>{}, st);
+      return;
+    case AggKind::kCountStar:
+      break;
+  }
+}
+
+/// Appends one aggregate's per-group results through typed appends (the
+/// bytes append_value would write for each kind).
+void emit_aggregate(const AggSpec& spec, TypeKind input_kind,
+                    const AggStates& st, std::size_t num_groups,
+                    Column& oc) {
+  auto emit = [&](const auto& states, auto append) {
+    for (std::size_t g = 0; g < num_groups; ++g) append(states[g]);
+  };
+  const bool is_double = input_kind == TypeKind::kDouble;
+  switch (spec.kind) {
+    case AggKind::kCountStar:
+    case AggKind::kCount:
+      emit(st.counts, [&](std::int64_t c) { oc.append_int64(c); });
+      return;
+    case AggKind::kSum:
+      if (is_double) {
+        emit(st.dsums, [&](const DoubleSumState& s) {
+          s.count == 0 ? oc.append_null() : oc.append_double(s.dsum);
+        });
+      } else {
+        emit(st.sums, [&](const SumState& s) {
+          s.count == 0 ? oc.append_null() : oc.append_int64(s.isum);
+        });
+      }
+      return;
+    case AggKind::kAvg: {
+      auto mean = [&](const auto& s) {
+        s.count == 0
+            ? oc.append_null()
+            : oc.append_double(s.dsum / static_cast<double>(s.count));
+      };
+      if (is_double) {
+        emit(st.dsums, mean);
+      } else {
+        emit(st.sums, mean);
+      }
+      return;
+    }
+    case AggKind::kMin:
+    case AggKind::kMax:
+      switch (input_kind) {
+        case TypeKind::kDouble:
+          emit(st.doubles, [&](const ExtremeState<double>& s) {
+            s.has_value ? oc.append_double(s.value) : oc.append_null();
+          });
+          return;
+        case TypeKind::kVarchar:
+          emit(st.strings, [&](const ExtremeState<StringId>& s) {
+            s.has_value ? oc.append_string(s.value) : oc.append_null();
+          });
+          return;
+        case TypeKind::kBool:
+        case TypeKind::kInt64:
+        case TypeKind::kDate:
+          emit(st.ints, [&](const ExtremeState<std::int64_t>& s) {
+            s.has_value ? oc.append_int64(s.value) : oc.append_null();
+          });
+          return;
+      }
+  }
+}
+
+std::vector<RowIndex> all_rows(const Table& t) {
+  std::vector<RowIndex> rows(t.num_rows());
+  std::iota(rows.begin(), rows.end(), RowIndex{0});
+  return rows;
+}
+
+std::vector<ColumnIndex> all_columns(const Table& t) {
+  std::vector<ColumnIndex> cols(t.num_columns());
+  std::iota(cols.begin(), cols.end(), ColumnIndex{0});
+  return cols;
 }
 
 }  // namespace
 
-Result<TablePtr> group_by(const Table& src, std::span<const ColumnIndex> keys,
-                          std::span<const AggSpec> aggs, std::string name,
-                          const BatchPolicy& policy) {
-  std::vector<ColumnDef> defs;
-  defs.reserve(keys.size() + aggs.size());
-  for (const auto k : keys) defs.push_back(src.schema().column(k));
+Result<TablePtr> aggregate(const Table& src, std::span<const RowIndex> rows,
+                           std::span<const ColumnIndex> keys,
+                           std::span<const AggSpec> aggs,
+                           std::span<const GroupOutput> outputs,
+                           std::string name, const BatchPolicy& policy) {
+  std::vector<DataType> agg_types;
+  agg_types.reserve(aggs.size());
   for (const auto& a : aggs) {
     GEMS_ASSIGN_OR_RETURN(DataType type, agg_output_type(a, src));
-    defs.push_back({a.output_name, type});
+    agg_types.push_back(type);
+  }
+  std::vector<ColumnDef> defs;
+  defs.reserve(outputs.size());
+  for (const auto& o : outputs) {
+    defs.push_back({o.name, o.source == GroupOutput::kKey
+                                ? src.schema().column(keys[o.index]).type
+                                : agg_types[o.index]});
   }
   GEMS_ASSIGN_OR_RETURN(Schema schema, Schema::create(std::move(defs)));
   auto out = std::make_shared<Table>(std::move(name), std::move(schema),
                                      src.pool());
 
-  // Group discovery: one group id per row, first-seen order.
-  // Fully overwritten by group assignment; skip the 4 bytes/row
-  // zero-initialization a vector would do.
-  auto group_of_row =
-      std::make_unique_for_overwrite<std::uint32_t[]>(src.num_rows());
+  // Group discovery: one group id per selected row, first-seen order.
+  // Without keys every row is group 0 and nothing is hashed: SQL scalar
+  // aggregation, exactly one row even on empty input.
+  std::size_t num_groups = 1;
+  std::unique_ptr<std::uint32_t[]> group_of;
   std::vector<RowIndex> representatives;
-  if (policy.vectorized()) {
-    assign_groups_hashed(src, keys, policy.clamped_rows(), group_of_row.get(),
-                         representatives);
-  } else {
-    assign_groups_rowkey(src, keys, group_of_row.get(), representatives);
+  if (!keys.empty()) {
+    // Fully overwritten by group assignment; skip the 4 bytes/row
+    // zero-initialization a vector would do.
+    group_of = std::make_unique_for_overwrite<std::uint32_t[]>(rows.size());
+    if (policy.vectorized()) {
+      dedup_rows_hashed(src, rows.data(), rows.size(), keys,
+                        policy.clamped_rows(), group_of.get(),
+                        representatives);
+    } else {
+      assign_groups_rowkey(src, rows, keys, group_of.get(), representatives);
+    }
+    num_groups = representatives.size();
   }
 
-  // SQL scalar aggregation: no keys -> exactly one row even on empty input.
-  const bool scalar_empty = keys.empty() && representatives.empty();
-  if (scalar_empty) representatives.push_back(0);
-
-  // Accumulation sweeps rows in global order per aggregate into flat,
-  // kind-compact state arrays (count(*)/count use 8 bytes per group,
-  // sum/avg 24, only min/max the boxed Values). The row order per
-  // aggregate is exactly the row engine's, so floating point sums add
-  // in the same order on both paths.
-  const std::size_t num_groups = representatives.size();
-  std::vector<std::vector<std::int64_t>> count_states(aggs.size());
-  std::vector<std::vector<SumState>> sum_states(aggs.size());
-  std::vector<std::vector<DoubleSumState>> dsum_states(aggs.size());
-  std::vector<std::vector<MinMaxState>> minmax_states(aggs.size());
-  const std::uint32_t* groups = group_of_row.get();
+  std::vector<AggStates> states(aggs.size());
   for (std::size_t a = 0; a < aggs.size(); ++a) {
-    const AggSpec& spec = aggs[a];
-    if (spec.kind == AggKind::kCountStar) {
-      count_states[a].resize(num_groups);
-      std::int64_t* st = count_states[a].data();
-      for (std::size_t r = 0; r < src.num_rows(); ++r) {
-        ++st[groups[r]];
-      }
+    if (group_of != nullptr) {
+      const std::uint32_t* groups = group_of.get();
+      accumulate(src, rows, aggs[a], [groups](std::size_t i) {
+        return groups[i];
+      }, num_groups, states[a]);
+    } else {
+      accumulate(src, rows, aggs[a], [](std::size_t) { return 0u; }, 1,
+                 states[a]);
+    }
+  }
+
+  // Column-at-a-time emission. Key cells are gathered from each group's
+  // first row (append_gather writes the scalar append_null payload for
+  // NULL keys); aggregates use typed appends.
+  for (std::size_t c = 0; c < outputs.size(); ++c) {
+    const GroupOutput& o = outputs[c];
+    Column& oc = out->column_mut(static_cast<ColumnIndex>(c));
+    if (o.source == GroupOutput::kKey) {
+      oc.append_gather(src.column(keys[o.index]), representatives.data(),
+                       num_groups);
       continue;
     }
-    const Column& col = src.column(spec.input);
-    switch (spec.kind) {
-      case AggKind::kCount: {
-        count_states[a].resize(num_groups);
-        std::int64_t* st = count_states[a].data();
-        for (std::size_t r = 0; r < src.num_rows(); ++r) {
-          if (col.is_null(static_cast<RowIndex>(r))) continue;
-          ++st[groups[r]];
-        }
-        break;
-      }
-      case AggKind::kSum:
-      case AggKind::kAvg: {
-        if (col.type().kind == TypeKind::kDouble) {
-          dsum_states[a].resize(num_groups);
-          DoubleSumState* st = dsum_states[a].data();
-          const std::span<const double> vals = col.double_span();
-          for (std::size_t r = 0; r < src.num_rows(); ++r) {
-            const RowIndex row = static_cast<RowIndex>(r);
-            if (col.is_null(row)) continue;
-            DoubleSumState& s = st[groups[r]];
-            ++s.count;
-            s.dsum += vals[row];
-          }
-        } else {
-          sum_states[a].resize(num_groups);
-          SumState* st = sum_states[a].data();
-          for (std::size_t r = 0; r < src.num_rows(); ++r) {
-            const RowIndex row = static_cast<RowIndex>(r);
-            if (col.is_null(row)) continue;
-            SumState& s = st[groups[r]];
-            ++s.count;
-            s.isum += col.int64_at(row);
-            s.dsum += static_cast<double>(col.int64_at(row));
-          }
-        }
-        break;
-      }
-      case AggKind::kMin:
-      case AggKind::kMax: {
-        minmax_states[a].resize(num_groups);
-        MinMaxState* st = minmax_states[a].data();
-        for (std::size_t r = 0; r < src.num_rows(); ++r) {
-          const RowIndex row = static_cast<RowIndex>(r);
-          if (col.is_null(row)) continue;
-          MinMaxState& s = st[groups[r]];
-          const Value v = src.value_at(row, spec.input);
-          if (!s.has_value) {
-            s.min = v;
-            s.max = v;
-            s.has_value = true;
-          } else {
-            if (v.compare(s.min) < 0) s.min = v;
-            if (v.compare(s.max) > 0) s.max = v;
-          }
-        }
-        break;
-      }
-      default:
-        GEMS_UNREACHABLE("handled above");
-    }
-  }
-
-  // Column-at-a-time emission. Byte-identical to boxed per-row appends:
-  // append_from copies payload+validity for key cells (NULL keys write the
-  // scalar append_null payload), typed appends write what append_value
-  // would for each aggregate kind.
-  for (std::size_t c = 0; c < keys.size(); ++c) {
-    out->column_mut(static_cast<ColumnIndex>(c))
-        .append_gather(src.column(keys[c]), representatives.data(),
-                       num_groups);
-  }
-  for (std::size_t a = 0; a < aggs.size(); ++a) {
-    const AggSpec& spec = aggs[a];
-    Column& oc =
-        out->column_mut(static_cast<ColumnIndex>(keys.size() + a));
-    switch (spec.kind) {
-      case AggKind::kCountStar:
-      case AggKind::kCount: {
-        const std::int64_t* st = count_states[a].data();
-        for (std::size_t g = 0; g < num_groups; ++g) {
-          oc.append_int64(st[g]);
-        }
-        break;
-      }
-      case AggKind::kSum: {
-        if (src.column(spec.input).type().kind == TypeKind::kDouble) {
-          const DoubleSumState* st = dsum_states[a].data();
-          for (std::size_t g = 0; g < num_groups; ++g) {
-            if (st[g].count == 0) {
-              oc.append_null();
-            } else {
-              oc.append_double(st[g].dsum);
-            }
-          }
-        } else {
-          const SumState* st = sum_states[a].data();
-          for (std::size_t g = 0; g < num_groups; ++g) {
-            if (st[g].count == 0) {
-              oc.append_null();
-            } else {
-              oc.append_int64(st[g].isum);
-            }
-          }
-        }
-        break;
-      }
-      case AggKind::kAvg: {
-        if (src.column(spec.input).type().kind == TypeKind::kDouble) {
-          const DoubleSumState* st = dsum_states[a].data();
-          for (std::size_t g = 0; g < num_groups; ++g) {
-            if (st[g].count == 0) {
-              oc.append_null();
-            } else {
-              oc.append_double(st[g].dsum /
-                               static_cast<double>(st[g].count));
-            }
-          }
-        } else {
-          const SumState* st = sum_states[a].data();
-          for (std::size_t g = 0; g < num_groups; ++g) {
-            if (st[g].count == 0) {
-              oc.append_null();
-            } else {
-              oc.append_double(st[g].dsum /
-                               static_cast<double>(st[g].count));
-            }
-          }
-        }
-        break;
-      }
-      case AggKind::kMin: {
-        const MinMaxState* st = minmax_states[a].data();
-        for (std::size_t g = 0; g < num_groups; ++g) {
-          if (st[g].has_value) {
-            oc.append_value(st[g].min, src.pool());
-          } else {
-            oc.append_null();
-          }
-        }
-        break;
-      }
-      case AggKind::kMax: {
-        const MinMaxState* st = minmax_states[a].data();
-        for (std::size_t g = 0; g < num_groups; ++g) {
-          if (st[g].has_value) {
-            oc.append_value(st[g].max, src.pool());
-          } else {
-            oc.append_null();
-          }
-        }
-        break;
-      }
-    }
+    const AggSpec& spec = aggs[o.index];
+    const TypeKind input_kind = spec.kind == AggKind::kCountStar
+                                    ? TypeKind::kInt64
+                                    : src.column(spec.input).type().kind;
+    emit_aggregate(spec, input_kind, states[o.index], num_groups, oc);
   }
   out->bump_rows(num_groups);
   return out;
 }
 
+Result<TablePtr> group_by(const Table& src, std::span<const ColumnIndex> keys,
+                          std::span<const AggSpec> aggs, std::string name,
+                          const BatchPolicy& policy) {
+  std::vector<GroupOutput> outputs;
+  outputs.reserve(keys.size() + aggs.size());
+  for (std::size_t k = 0; k < keys.size(); ++k) {
+    outputs.push_back(
+        {GroupOutput::kKey, k, src.schema().column(keys[k]).name});
+  }
+  for (std::size_t a = 0; a < aggs.size(); ++a) {
+    outputs.push_back({GroupOutput::kAgg, a, aggs[a].output_name});
+  }
+  return aggregate(src, all_rows(src), keys, aggs, outputs, std::move(name),
+                   policy);
+}
+
+namespace {
+
+/// Three-way comparison of two rows on one column in ORDER BY's order
+/// (the row engine's sort comparator).
 int compare_table_cells(const Table& table, RowIndex a, RowIndex b,
                         ColumnIndex col) {
   const Column& column = table.column(col);
@@ -916,7 +992,8 @@ int compare_table_cells(const Table& table, RowIndex a, RowIndex b,
     case TypeKind::kDate:
       return cmp3(column.int64_at(a), column.int64_at(b));
     case TypeKind::kDouble:
-      return cmp3(column.double_at(a), column.double_at(b));
+      return storage::compare_doubles(column.double_at(a),
+                                      column.double_at(b));
     case TypeKind::kVarchar: {
       const StringId x = column.string_at(a);
       const StringId y = column.string_at(b);
@@ -928,38 +1005,180 @@ int compare_table_cells(const Table& table, RowIndex a, RowIndex b,
   GEMS_UNREACHABLE("bad column kind");
 }
 
-std::vector<RowIndex> sorted_indices(const Table& src,
-                                     std::span<const SortKey> keys) {
-  std::vector<RowIndex> order(src.num_rows());
-  for (std::size_t i = 0; i < order.size(); ++i) {
-    order[i] = static_cast<RowIndex>(i);
+constexpr std::uint64_t kSignBit = std::uint64_t{1} << 63;
+
+/// Order-preserving image of a normalized key cell (key_cells_batch:
+/// -0.0 already folded into +0.0): unsigned order of the result is
+/// ORDER BY's ascending order. Varchar ids pass through; they compare by
+/// pool view.
+std::uint64_t ordered_bits(TypeKind kind, std::uint64_t cell) {
+  switch (kind) {
+    case TypeKind::kInt64:
+    case TypeKind::kDate:
+      return cell ^ kSignBit;
+    case TypeKind::kDouble:
+      if ((cell & ~kSignBit) > 0x7ff0000000000000ull) {
+        return ~std::uint64_t{0};  // every NaN, after +inf
+      }
+      return (cell & kSignBit) != 0 ? ~cell : cell | kSignBit;
+    case TypeKind::kBool:
+    case TypeKind::kVarchar:
+      break;
   }
-  std::stable_sort(order.begin(), order.end(),
-                   [&](RowIndex a, RowIndex b) {
-                     for (const auto& k : keys) {
-                       const int c = compare_table_cells(src, a, b, k.column);
-                       if (c != 0) return k.descending ? c > 0 : c < 0;
-                     }
-                     return false;
-                   });
-  return order;
+  return cell;
 }
 
-namespace {
+/// One ORDER BY key resolved once over the selection: position i's cell
+/// as an integer whose unsigned order is the key's order (descending
+/// keys pre-flipped), behind a NULL rank that puts NULL first ascending
+/// and last descending. Varchar cells stay string ids and compare by
+/// pool view (interned: equal ids are equal strings, and only then).
+struct TypedKey {
+  std::vector<std::uint64_t> bits;
+  std::vector<std::uint8_t> rank;  // empty: no NULL in the selection
+  bool varchar = false;
+  bool descending = false;
+};
 
-std::vector<ColumnIndex> all_columns(const Table& t) {
-  std::vector<ColumnIndex> cols(t.num_columns());
-  for (std::size_t i = 0; i < cols.size(); ++i) {
-    cols[i] = static_cast<ColumnIndex>(i);
+TypedKey resolve_key(const Table& src, std::span<const RowIndex> rows,
+                     const SortKey& key) {
+  const TypeKind kind = src.column(key.column).type().kind;
+  TypedKey k;
+  k.varchar = kind == TypeKind::kVarchar;
+  k.descending = key.descending;
+  k.bits.resize(rows.size());
+  std::vector<std::uint8_t> nulls(rows.size());
+  key_cells_batch(src, 0, rows.data(), rows.size(), key.column,
+                  k.bits.data(), nulls.data());
+  if (!k.varchar) {
+    const std::uint64_t flip = key.descending ? ~std::uint64_t{0} : 0;
+    for (std::uint64_t& b : k.bits) b = ordered_bits(kind, b) ^ flip;
   }
-  return cols;
+  if (std::find(nulls.begin(), nulls.end(), 1) != nulls.end()) {
+    // The NULL flag is the rank descending; ascending flips it.
+    if (!key.descending) {
+      for (std::uint8_t& r : nulls) r ^= 1;
+    }
+    k.rank = std::move(nulls);
+  }
+  return k;
 }
+
+/// A selected row during the sort: its first key inline (so most
+/// comparisons touch only the entry), its position for the other keys and
+/// for the final tie-break.
+struct SortEntry {
+  std::uint64_t key0;
+  std::uint32_t pos;
+  std::uint32_t rank0;
+};
+
+/// The total order of SortEntry: the keys in turn, then the position —
+/// so any correct sort or heap selection yields exactly "stable sort,
+/// then head". Views the keys: the standard algorithms copy comparators
+/// freely.
+class EntryOrder {
+ public:
+  EntryOrder(std::span<const TypedKey> keys, const StringPool& pool)
+      : keys_(keys), pool_(&pool) {}
+
+  SortEntry entry(std::uint32_t pos) const {
+    const TypedKey& k = keys_.front();
+    return {k.bits[pos], pos, k.rank.empty() ? 0u : k.rank[pos]};
+  }
+
+  bool operator()(const SortEntry& a, const SortEntry& b) const {
+    if (a.rank0 != b.rank0) return a.rank0 < b.rank0;
+    if (a.key0 != b.key0) return differ(keys_.front(), a.key0, b.key0);
+    for (std::size_t k = 1; k < keys_.size(); ++k) {
+      const TypedKey& key = keys_[k];
+      if (!key.rank.empty() && key.rank[a.pos] != key.rank[b.pos]) {
+        return key.rank[a.pos] < key.rank[b.pos];
+      }
+      const std::uint64_t x = key.bits[a.pos];
+      const std::uint64_t y = key.bits[b.pos];
+      if (x != y) return differ(key, x, y);
+    }
+    return a.pos < b.pos;
+  }
+
+ private:
+  /// "x before y" for two cells of `key` known to differ.
+  bool differ(const TypedKey& key, std::uint64_t x, std::uint64_t y) const {
+    if (!key.varchar) return x < y;
+    const int c = pool_->view(static_cast<StringId>(x))
+                      .compare(pool_->view(static_cast<StringId>(y)));
+    return key.descending ? c > 0 : c < 0;
+  }
+
+  std::span<const TypedKey> keys_;
+  const StringPool* pool_;
+};
 
 }  // namespace
 
+std::vector<RowIndex> sort_rows(const Table& src,
+                                std::span<const RowIndex> rows,
+                                std::span<const SortKey> keys,
+                                std::size_t limit,
+                                const BatchPolicy& policy) {
+  const std::size_t n = rows.size();
+  if (keys.empty() || !policy.vectorized()) {
+    // Row-engine oracle: a comparator stable sort over the row ids.
+    std::vector<RowIndex> order(rows.begin(), rows.end());
+    std::stable_sort(order.begin(), order.end(),
+                     [&](RowIndex a, RowIndex b) {
+                       for (const auto& k : keys) {
+                         const int c = compare_table_cells(src, a, b,
+                                                           k.column);
+                         if (c != 0) return k.descending ? c > 0 : c < 0;
+                       }
+                       return false;
+                     });
+    if (order.size() > limit) order.resize(limit);
+    return order;
+  }
+
+  std::vector<TypedKey> typed;
+  typed.reserve(keys.size());
+  for (const auto& k : keys) typed.push_back(resolve_key(src, rows, k));
+  const EntryOrder before(typed, src.pool());
+
+  std::vector<SortEntry> kept;
+  if (limit < n) {
+    // top N: a bounded max-heap of the N best entries seen so far; the
+    // heap's front is the worst of them, and a row enters only by beating
+    // it — one comparison for almost every row.
+    kept.reserve(limit);
+    for (std::uint32_t pos = 0; pos < n && limit > 0; ++pos) {
+      const SortEntry e = before.entry(pos);
+      if (kept.size() < limit) {
+        kept.push_back(e);
+        std::push_heap(kept.begin(), kept.end(), before);
+      } else if (before(e, kept.front())) {
+        std::pop_heap(kept.begin(), kept.end(), before);
+        kept.back() = e;
+        std::push_heap(kept.begin(), kept.end(), before);
+      }
+    }
+    std::sort_heap(kept.begin(), kept.end(), before);
+  } else {
+    kept.reserve(n);
+    for (std::uint32_t pos = 0; pos < n; ++pos) {
+      kept.push_back(before.entry(pos));
+    }
+    std::sort(kept.begin(), kept.end(), before);
+  }
+  std::vector<RowIndex> order;
+  order.reserve(kept.size());
+  for (const SortEntry& e : kept) order.push_back(rows[e.pos]);
+  return order;
+}
+
 TablePtr order_by(const Table& src, std::span<const SortKey> keys,
                   std::string name) {
-  const auto order = sorted_indices(src, keys);
+  const auto order = sort_rows(src, all_rows(src), keys,
+                               std::numeric_limits<std::size_t>::max());
   return materialize(src, order, all_columns(src), std::move(name));
 }
 
@@ -970,8 +1189,8 @@ TablePtr distinct(const Table& src, std::string name,
   if (policy.vectorized()) {
     // First-seen dedup via the shared hashed path (batched key cells,
     // exact equality per candidate — collisions never merge rows).
-    dedup_rows_hashed(src, cols, policy.clamped_rows(),
-                      /*entry_of_row=*/nullptr, keep);
+    dedup_rows_hashed(src, /*rows=*/nullptr, src.num_rows(), cols,
+                      policy.clamped_rows(), /*entry_of=*/nullptr, keep);
   } else {
     std::unordered_map<std::string, bool, RowKeyHash, std::equal_to<>> seen;
     for (std::size_t r = 0; r < src.num_rows(); ++r) {
@@ -985,12 +1204,8 @@ TablePtr distinct(const Table& src, std::string name,
 }
 
 TablePtr head(const Table& src, std::size_t n, std::string name) {
-  std::vector<RowIndex> rows;
-  const std::size_t limit = std::min(n, src.num_rows());
-  rows.reserve(limit);
-  for (std::size_t r = 0; r < limit; ++r) {
-    rows.push_back(static_cast<RowIndex>(r));
-  }
+  std::vector<RowIndex> rows(std::min(n, src.num_rows()));
+  std::iota(rows.begin(), rows.end(), RowIndex{0});
   return materialize(src, rows, all_columns(src), std::move(name));
 }
 

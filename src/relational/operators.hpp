@@ -107,25 +107,56 @@ struct AggSpec {
   std::string output_name;
 };
 
-/// GROUP BY `keys` with the given aggregates. With empty `keys`, produces
-/// a single global-aggregate row (SQL scalar aggregation). NULLs are
-/// skipped by every aggregate except count(*). Output schema: the key
-/// columns (source names) followed by one column per aggregate.
-/// Groups appear in first-encounter order (stable).
+/// One output column of aggregate(): group key `index` (into its keys)
+/// or aggregate `index` (into its aggs), under `name`.
+struct GroupOutput {
+  enum Source { kKey, kAgg } source = kKey;
+  std::size_t index = 0;
+  std::string name;
+};
+
+/// GROUP BY `keys` over the selected rows `rows` of `src` (key and
+/// aggregate input columns are read through the selection vector; no
+/// input copy), emitting `outputs` in order. With empty `keys` every row
+/// is group 0 — no hashing — and the result is exactly one row even on
+/// empty input (SQL scalar aggregation). NULLs are skipped by every
+/// aggregate except count(*). Groups appear in first-encounter order.
+/// min/max keep the first-seen value among equals under the native `<`
+/// (so of -0.0 and +0.0, and against a NaN, the first one seen wins).
+Result<TablePtr> aggregate(const Table& src, std::span<const RowIndex> rows,
+                           std::span<const ColumnIndex> keys,
+                           std::span<const AggSpec> aggs,
+                           std::span<const GroupOutput> outputs,
+                           std::string name, const BatchPolicy& policy = {});
+
+/// aggregate() over every row of `src`. Output schema: the key columns
+/// (source names) followed by one column per aggregate.
 Result<TablePtr> group_by(const Table& src, std::span<const ColumnIndex> keys,
                           std::span<const AggSpec> aggs, std::string name,
                           const BatchPolicy& policy = {});
 
 // ---- Ordering / dedup / top -----------------------------------------------
+//
+// ORDER BY's order on one column: NULL first, then values ascending —
+// numbers numerically (-0.0 == +0.0, NaN after every number, NaN == NaN;
+// storage::compare_doubles), varchar by bytes, false before true.
+// Descending reverses it (NULL last). Ties keep input order.
 
 struct SortKey {
   ColumnIndex column;
   bool descending = false;
 };
 
-/// Stable-sorted row permutation of `src` (NULLs first ascending).
-std::vector<RowIndex> sorted_indices(const Table& src,
-                                     std::span<const SortKey> keys);
+/// The selected rows `rows` of `src` in `keys` order, ties in input order
+/// (a stable sort), cut to the first `limit`. Vectorized, every key
+/// column is resolved once into order-preserving integers and `limit` <
+/// rows.size() runs a bounded heap of `limit` entries; the row engine
+/// (BatchPolicy::row_engine) runs a comparator stable sort, the oracle.
+std::vector<RowIndex> sort_rows(const Table& src,
+                                std::span<const RowIndex> rows,
+                                std::span<const SortKey> keys,
+                                std::size_t limit,
+                                const BatchPolicy& policy = {});
 
 /// Materializes `src` in sorted order.
 TablePtr order_by(const Table& src, std::span<const SortKey> keys,
@@ -137,9 +168,5 @@ TablePtr distinct(const Table& src, std::string name,
 
 /// First `n` rows (paper's `top n`; callers sort first).
 TablePtr head(const Table& src, std::size_t n, std::string name);
-
-/// Three-way comparison of two rows on one column (NULL sorts first).
-int compare_table_cells(const Table& table, RowIndex a, RowIndex b,
-                        ColumnIndex col);
 
 }  // namespace gems::relational

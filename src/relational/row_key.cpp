@@ -145,35 +145,39 @@ void hash_row_key_batch(const storage::Table& table, storage::RowIndex base,
   }
 }
 
-void key_cells_batch(const storage::Table& table, storage::RowIndex base,
-                     std::size_t n, storage::ColumnIndex col,
-                     std::uint64_t* bits, std::uint8_t* nulls) {
-  const Column& column = table.column(col);
+namespace {
+
+/// key_cells_batch over rows row_at(0..n): the contiguous and the
+/// gathered window share one body.
+template <typename RowAt>
+void key_cells_at(const Column& column, RowAt row_at, std::size_t n,
+                  std::uint64_t* bits, std::uint8_t* nulls) {
   for (std::size_t i = 0; i < n; ++i) {
-    nulls[i] = column.is_null(base + static_cast<storage::RowIndex>(i)) ? 1 : 0;
+    nulls[i] = column.is_null(row_at(i)) ? 1 : 0;
   }
   // Type dispatch hoisted out of the row loop; payload sweeps read the
   // typed spans directly.
   switch (column.type().kind) {
     case TypeKind::kBool: {
-      const auto vals = column.int_span().subspan(base, n);
+      const auto vals = column.int_span();
       for (std::size_t i = 0; i < n; ++i) {
-        bits[i] = nulls[i] != 0 ? 0 : (vals[i] != 0 ? 1u : 0u);
+        bits[i] = nulls[i] != 0 ? 0 : (vals[row_at(i)] != 0 ? 1u : 0u);
       }
       break;
     }
     case TypeKind::kInt64:
     case TypeKind::kDate: {
-      const auto vals = column.int_span().subspan(base, n);
+      const auto vals = column.int_span();
       for (std::size_t i = 0; i < n; ++i) {
-        bits[i] = nulls[i] != 0 ? 0 : static_cast<std::uint64_t>(vals[i]);
+        bits[i] =
+            nulls[i] != 0 ? 0 : static_cast<std::uint64_t>(vals[row_at(i)]);
       }
       break;
     }
     case TypeKind::kDouble: {
-      const auto vals = column.double_span().subspan(base, n);
+      const auto vals = column.double_span();
       for (std::size_t i = 0; i < n; ++i) {
-        double v = vals[i];
+        double v = vals[row_at(i)];
         if (v == 0.0) v = 0.0;  // collapse -0.0 and +0.0
         std::uint64_t b;
         std::memcpy(&b, &v, sizeof(b));
@@ -182,12 +186,32 @@ void key_cells_batch(const storage::Table& table, storage::RowIndex base,
       break;
     }
     case TypeKind::kVarchar: {
-      const auto vals = column.string_span().subspan(base, n);
+      const auto vals = column.string_span();
       for (std::size_t i = 0; i < n; ++i) {
-        bits[i] = nulls[i] != 0 ? 0 : vals[i];
+        bits[i] = nulls[i] != 0 ? 0 : vals[row_at(i)];
       }
       break;
     }
+  }
+}
+
+}  // namespace
+
+void key_cells_batch(const storage::Table& table, storage::RowIndex base,
+                     const storage::RowIndex* rows, std::size_t n,
+                     storage::ColumnIndex col, std::uint64_t* bits,
+                     std::uint8_t* nulls) {
+  const Column& column = table.column(col);
+  if (rows != nullptr) {
+    key_cells_at(column, [rows](std::size_t i) { return rows[i]; }, n, bits,
+                 nulls);
+  } else {
+    key_cells_at(
+        column,
+        [base](std::size_t i) {
+          return base + static_cast<storage::RowIndex>(i);
+        },
+        n, bits, nulls);
   }
 }
 

@@ -28,7 +28,7 @@ int Value::compare(const Value& other) const {
     const bool both_numeric = DataType{kind_, 0}.is_numeric() &&
                               DataType{other.kind_, 0}.is_numeric();
     GEMS_CHECK_MSG(both_numeric, "comparing incomparable value kinds");
-    return cmp3(as_numeric(), other.as_numeric());
+    return compare_doubles(as_numeric(), other.as_numeric());
   }
   switch (kind_) {
     case TypeKind::kBool:
@@ -37,7 +37,7 @@ int Value::compare(const Value& other) const {
     case TypeKind::kDate:
       return cmp3(as_int64(), other.as_int64());
     case TypeKind::kDouble:
-      return cmp3(as_double(), other.as_double());
+      return compare_doubles(as_double(), other.as_double());
     case TypeKind::kVarchar:
       return as_string().compare(other.as_string()) < 0
                  ? -1

@@ -3,6 +3,7 @@
 // operate directly on typed column storage and never box.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <string>
 #include <variant>
@@ -11,6 +12,16 @@
 #include "storage/type.hpp"
 
 namespace gems::storage {
+
+/// ORDER BY's total order on doubles: -0.0 == +0.0, every NaN after every
+/// number (+inf included), NaN == NaN. IEEE `<` alone is no strict weak
+/// order once a NaN is present (NaN would be "equal" to every number),
+/// and a sort over such a comparator is undefined behaviour.
+inline int compare_doubles(double a, double b) noexcept {
+  if (a < b) return -1;
+  if (b < a) return 1;
+  return static_cast<int>(std::isnan(a)) - static_cast<int>(std::isnan(b));
+}
 
 class Value {
  public:
@@ -66,7 +77,8 @@ class Value {
   bool operator==(const Value& other) const;
 
   /// Total order used by ORDER BY: NULL sorts first; numerics compare by
-  /// promoted value; strings lexicographically. Returns <0, 0, >0.
+  /// promoted value under compare_doubles; strings lexicographically.
+  /// Returns <0, 0, >0.
   /// Comparing incomparable kinds is a programming error (the static type
   /// checker rejects such queries earlier).
   int compare(const Value& other) const;

@@ -410,6 +410,34 @@ TEST(DiagCodecTest, RejectsHostileBytes) {
   EXPECT_FALSE(decode_diagnostics(bytes).is_ok());
 }
 
+TEST(DiagCodecTest, FiveDigitCodeNamesKeepEveryDigit) {
+  EXPECT_EQ(diag_code_name(DiagCode::kAlwaysTrue), "GQL0051");
+  EXPECT_EQ(diag_code_name(static_cast<DiagCode>(kMaxDiagCode)), "GQL9999");
+  EXPECT_EQ(diag_code_name(static_cast<DiagCode>(10000)), "GQL10000");
+  EXPECT_EQ(diag_code_name(static_cast<DiagCode>(65535)), "GQL65535");
+}
+
+TEST(DiagCodecTest, RejectsOutOfRangeCodeFromPeer) {
+  std::vector<Diagnostic> one(1);
+  one[0].code = static_cast<DiagCode>(kMaxDiagCode);
+  auto decoded = decode_diagnostics(encode_diagnostics(one));
+  ASSERT_TRUE(decoded.is_ok()) << decoded.status().to_string();
+  EXPECT_EQ(decoded.value(), one);
+
+  for (const std::uint16_t code : {std::uint16_t{10000}, std::uint16_t{65535}}) {
+    one[0].code = static_cast<DiagCode>(code);
+    auto bad = decode_diagnostics(encode_diagnostics(one));
+    ASSERT_FALSE(bad.is_ok()) << code;
+    EXPECT_EQ(bad.status().code(), StatusCode::kParseError);
+    EXPECT_NE(bad.status().message().find("diagnostic code " +
+                                          std::to_string(code)),
+              std::string::npos)
+        << bad.status().to_string();
+    EXPECT_NE(bad.status().message().find("byte offset"), std::string::npos)
+        << bad.status().to_string();
+  }
+}
+
 // ---- End-to-end: Database::check and the net `check` verb ------------------
 
 server::Database& shared_db() {

@@ -384,6 +384,39 @@ TEST_F(RelationalTest, MinMaxOnStringsAndDates) {
   EXPECT_EQ((*g)->value_at(0, 1).to_string(), "2008-04-01");
 }
 
+TEST_F(RelationalTest, MinMaxKeepFirstSeenAmongEquals) {
+  // min/max use the native < and >: of -0.0 and +0.0 the first seen
+  // wins, a NaN seen first is kept, and a later NaN never replaces.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  auto t = std::make_shared<Table>(
+      "M", Schema({{"g", DataType::int64()}, {"x", DataType::float64()}}),
+      pool_);
+  const std::vector<std::pair<std::int64_t, double>> rows{
+      {0, 0.0}, {0, -0.0}, {0, nan}, {0, 1.0},   // group 0
+      {1, nan}, {1, 2.0},                        // group 1
+      {2, -0.0}, {2, 0.0}};                      // group 2
+  for (const auto& [g, x] : rows) {
+    const std::vector<Value> row{Value::int64(g), Value::float64(x)};
+    t->append_row_unchecked(row);
+  }
+  const std::vector<ColumnIndex> keys{0};
+  const std::vector<AggSpec> aggs{{AggKind::kMin, 1, "lo"},
+                                  {AggKind::kMax, 1, "hi"}};
+  for (const BatchPolicy policy : {BatchPolicy::row_engine(), BatchPolicy{}}) {
+    auto g = group_by(*t, keys, aggs, "G", policy);
+    ASSERT_TRUE(g.is_ok());
+    const Table& out = **g;
+    ASSERT_EQ(out.num_rows(), 3u);
+    EXPECT_EQ(out.value_at(0, 1).as_double(), 0.0);
+    EXPECT_FALSE(std::signbit(out.value_at(0, 1).as_double()));
+    EXPECT_EQ(out.value_at(0, 2).as_double(), 1.0);
+    EXPECT_TRUE(std::isnan(out.value_at(1, 1).as_double()));
+    EXPECT_TRUE(std::isnan(out.value_at(1, 2).as_double()));
+    EXPECT_TRUE(std::signbit(out.value_at(2, 1).as_double()));
+    EXPECT_TRUE(std::signbit(out.value_at(2, 2).as_double()));
+  }
+}
+
 // ---- Order by / distinct / top ------------------------------------------------
 
 TEST_F(RelationalTest, OrderByDescWithNullsFirst) {
@@ -425,6 +458,49 @@ TEST_F(RelationalTest, HeadTruncates) {
   EXPECT_EQ(head(*offers_, 2, "H")->num_rows(), 2u);
   EXPECT_EQ(head(*offers_, 99, "H")->num_rows(), 5u);
   EXPECT_EQ(head(*offers_, 0, "H")->num_rows(), 0u);
+}
+
+TEST_F(RelationalTest, SortOrdersNaNLastAndFoldsSignedZero) {
+  // {NaN, 1, -0.0, NULL, +0.0, NaN, -inf} at positions 0..6. ORDER BY's
+  // order: NULL first, -0.0 == +0.0, NaN after every number, NaN == NaN,
+  // ties in input order — one total order, so the comparator sort is
+  // well defined and the typed-key sort and heap agree with it.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  auto t = std::make_shared<Table>(
+      "N", Schema({{"pos", DataType::int64()}, {"x", DataType::float64()}}),
+      pool_);
+  const std::vector<Value> xs{Value::float64(nan),  Value::float64(1.0),
+                              Value::float64(-0.0), Value::null(),
+                              Value::float64(0.0),  Value::float64(nan),
+                              Value::float64(-inf)};
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    const std::vector<Value> row{Value::int64(static_cast<std::int64_t>(i)),
+                                 xs[i]};
+    t->append_row_unchecked(row);
+  }
+  const std::vector<storage::RowIndex> all{0, 1, 2, 3, 4, 5, 6};
+  const std::vector<storage::RowIndex> asc{3, 6, 2, 4, 1, 0, 5};
+  const std::vector<storage::RowIndex> desc{0, 5, 1, 2, 4, 6, 3};
+  const std::size_t kAll = std::numeric_limits<std::size_t>::max();
+  for (const BatchPolicy policy : {BatchPolicy::row_engine(), BatchPolicy{}}) {
+    const std::vector<SortKey> up{{1, false}};
+    const std::vector<SortKey> down{{1, true}};
+    EXPECT_EQ(sort_rows(*t, all, up, kAll, policy), asc);
+    EXPECT_EQ(sort_rows(*t, all, down, kAll, policy), desc);
+    EXPECT_EQ(sort_rows(*t, all, up, 3, policy),
+              (std::vector<storage::RowIndex>{3, 6, 2}));
+    EXPECT_EQ(sort_rows(*t, all, down, 3, policy),
+              (std::vector<storage::RowIndex>{0, 5, 1}));
+  }
+  // order_by keeps the bit patterns: -0.0 stays -0.0, in input order.
+  auto sorted = order_by(*t, std::vector<SortKey>{{1, false}}, "S");
+  EXPECT_TRUE(std::signbit(sorted->value_at(2, 1).as_double()));
+  EXPECT_FALSE(std::signbit(sorted->value_at(3, 1).as_double()));
+  EXPECT_TRUE(std::isnan(sorted->value_at(6, 1).as_double()));
+  EXPECT_EQ(Value::float64(nan).compare(Value::float64(inf)), 1);
+  EXPECT_EQ(Value::float64(nan).compare(Value::float64(nan)), 0);
+  EXPECT_EQ(Value::float64(-0.0).compare(Value::float64(0.0)), 0);
 }
 
 TEST_F(RelationalTest, ParallelFilterMatchesSerial) {
@@ -811,6 +887,84 @@ TEST_F(RelationalTest, VectorizedEmptyAndAllFilteredInputs) {
     ASSERT_TRUE(g.is_ok());
     EXPECT_EQ((*g)->num_rows(), 0u);
     EXPECT_EQ(distinct(empty, "D", BatchPolicy{bs})->num_rows(), 0u);
+  }
+}
+
+TEST_F(RelationalTest, VectorizedSortMatchesRowEngine) {
+  using namespace vec_prop;
+  std::uint64_t seed = 500;
+  // Single and composite keys over every column type, ascending and
+  // descending, dense ties (b, s), NULLs; top n below, at and above the
+  // selection size, over a gathered (filtered) selection.
+  const std::vector<std::vector<SortKey>> key_sets{
+      {{1, false}},
+      {{2, true}},
+      {{4, false}, {0, true}},
+      {{4, true}, {1, false}, {5, true}},
+      {{3, false}, {2, false}}};
+  for (const double nd : kNullDensities) {
+    auto t = make_random_table(pool_, 533, nd, seed++);
+    std::vector<storage::RowIndex> rows;
+    for (storage::RowIndex r = 0; r < t->num_rows(); r += 1 + r % 3) {
+      rows.push_back(r);
+    }
+    for (const auto& keys : key_sets) {
+      for (const std::size_t limit :
+           {std::size_t{0}, std::size_t{1}, std::size_t{10}, rows.size(),
+            std::numeric_limits<std::size_t>::max()}) {
+        EXPECT_EQ(sort_rows(*t, rows, keys, limit),
+                  sort_rows(*t, rows, keys, limit, BatchPolicy::row_engine()))
+            << "null density " << nd << ", limit " << limit;
+      }
+    }
+  }
+}
+
+TEST_F(RelationalTest, AggregateReadsThroughSelectionVector) {
+  using namespace vec_prop;
+  // aggregate() over a selection must equal group_by over the selected
+  // rows copied out first — on both engines, keyed and scalar, with the
+  // outputs in a caller-chosen order.
+  auto t = make_random_table(pool_, 533, 0.1, 600);
+  std::vector<storage::RowIndex> rows;
+  for (storage::RowIndex r = 0; r < t->num_rows(); r += 2) rows.push_back(r);
+  std::vector<ColumnIndex> all_cols(t->num_columns());
+  for (std::size_t c = 0; c < all_cols.size(); ++c) {
+    all_cols[c] = static_cast<ColumnIndex>(c);
+  }
+  auto copy = materialize(*t, rows, all_cols, "C");
+  const std::vector<AggSpec> aggs{{AggKind::kMax, 2, "maxx"},
+                                  {AggKind::kCountStar, 0, "n"},
+                                  {AggKind::kMin, 4, "mins"},
+                                  {AggKind::kAvg, 0, "avga"}};
+  for (const auto& keys : std::vector<std::vector<ColumnIndex>>{{4}, {}}) {
+    std::vector<GroupOutput> outputs;
+    for (std::size_t a = 0; a < aggs.size(); ++a) {
+      outputs.push_back({GroupOutput::kAgg, a, aggs[a].output_name});
+    }
+    for (std::size_t k = 0; k < keys.size(); ++k) {
+      outputs.push_back({GroupOutput::kKey, k, "k" + std::to_string(k)});
+    }
+    for (const BatchPolicy policy :
+         {BatchPolicy::row_engine(), BatchPolicy{7}, BatchPolicy{}}) {
+      auto got = aggregate(*t, rows, keys, aggs, outputs, "A", policy);
+      auto want = group_by(*copy, keys, aggs, "G", policy);
+      ASSERT_TRUE(got.is_ok() && want.is_ok());
+      // group_by lists keys first; aggregate() was asked aggs first.
+      std::vector<ColumnIndex> reorder;
+      for (std::size_t a = 0; a < aggs.size(); ++a) {
+        reorder.push_back(static_cast<ColumnIndex>(keys.size() + a));
+      }
+      for (std::size_t k = 0; k < keys.size(); ++k) {
+        reorder.push_back(static_cast<ColumnIndex>(k));
+      }
+      std::vector<storage::RowIndex> groups((*want)->num_rows());
+      for (std::size_t g = 0; g < groups.size(); ++g) {
+        groups[g] = static_cast<storage::RowIndex>(g);
+      }
+      expect_tables_byte_identical(
+          **got, *materialize(**want, groups, reorder, "W"), "aggregate");
+    }
   }
 }
 
